@@ -11,11 +11,7 @@ Runs in under a minute on a laptop CPU.  Pipeline:
 
 Usage::
 
-    python examples/quickstart.py [--scale test|ci] [--workers N]
-
-``--workers 4`` (or ``REPRO_WORKERS=4``) runs the same pipeline through
-the parallel execution layer — sharded reference solves, data-parallel
-training, threaded serving merges — with identical results.
+    python examples/quickstart.py [--scale test|ci]
 
 Scenarios are plain data: ``scenario.to_json("my.json")`` writes a spec
 you can edit and run with ``python -m repro run --config my.json`` — no
@@ -34,10 +30,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", default="test", choices=["test", "ci"],
                         help="preset scale (test: ~30 s, ci: ~3 min)")
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="parallel execution width (default: the "
-                             "REPRO_WORKERS env var, else serial); results "
-                             "are identical for any value")
     args = parser.parse_args()
 
     print(f"Building the Experiment-A scenario at {args.scale!r} scale ...")
@@ -45,7 +37,7 @@ def main() -> None:
     print(scenario.description)
     print(f"content digest: {scenario.content_digest()[:16]}")
 
-    service = ThermalService(workers=args.workers)
+    service = ThermalService()
     setup = service.setup(scenario)
     print(f"network parameters: {setup.model.net.num_parameters():,}")
 
@@ -76,7 +68,7 @@ def main() -> None:
     print()
     print(compare_fields_text(field_slice(predicted), field_slice(reference)))
 
-    service.close()  # release the worker pool, if --workers built one
+    service.close()  # drop the session's engines and caches
 
     # The same model through the legacy (deprecated) imperative path:
     #

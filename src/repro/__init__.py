@@ -13,9 +13,6 @@ Thermal Simulation in 3D-IC Design" (DAC 2023) from scratch on numpy:
   versioned JSON) + ``ThermalService`` session façade; ``repro run``
 * :mod:`repro.engine` — compiled tape-free serving engine (batched sweeps,
   trunk-feature caching); ``DeepOHeat.compile()`` / ``repro sweep``
-* :mod:`repro.parallel`, :mod:`repro.backend` — parallel execution layer
-  (process-sharded solves, data-parallel training, threaded serving)
-  behind one ``workers=`` / ``REPRO_WORKERS`` knob; serial-identical
 * :mod:`repro.serve` — serving daemon: newline-JSON socket protocol with
   cross-request micro-batching onto the compiled engine's fused matmul,
   bounded-queue backpressure and byte-budgeted caches; ``repro serve``

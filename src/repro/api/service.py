@@ -478,15 +478,6 @@ class ThermalService:
         Capacity of the session-wide trunk-feature cache every compiled
         engine shares (keys bind grid *and* weight digest, so scenarios
         sharing a query grid coexist safely).
-    workers:
-        Session-wide parallelism knob, threaded through every layer:
-        reference solves shard across a process pool (the service then
-        owns a private :class:`~repro.fdm.SolveFarm` rather than the
-        shared default), training runs data-parallel, and serving
-        threads its merge matmul.  ``None`` (default) defers each layer
-        to the ``REPRO_WORKERS`` environment variable; results are
-        identical for any value.  Call :meth:`close` to release the
-        solve pool.
     memory_budget:
         Optional byte budget over the session's caches, split evenly
         between the trunk-feature cache and a *private* solve farm
@@ -504,7 +495,7 @@ class ThermalService:
         thrashing the cache.
 
     A service is a context manager: ``with ThermalService(...) as s:``
-    tears down the private farm pool, engines and caches exactly once
+    tears down the private farm, engines and caches exactly once
     on exit (:meth:`close` is idempotent).
     """
 
@@ -513,7 +504,6 @@ class ThermalService:
         cache_dir: Optional[Union[str, Path]] = None,
         farm=None,
         trunk_cache_entries: int = 16,
-        workers: Optional[int] = None,
         memory_budget: Optional[int] = None,
         solver: Optional[str] = None,
     ):
@@ -524,7 +514,6 @@ class ThermalService:
         )
         self._farm = farm
         self._owns_farm = False
-        self.workers = workers
         self.solver = solver
         self.memory_budget = (
             None if memory_budget is None else int(memory_budget)
@@ -546,19 +535,16 @@ class ThermalService:
     def farm(self):
         """The session's solve farm: private when budgeted, else shared."""
         if self._farm is None:
-            if self.workers is not None or self.memory_budget is not None:
+            if self.memory_budget is not None:
                 from ..fdm import SolveFarm
 
-                # A private farm: its worker pool (and the memory its
-                # workers' factorizations hold) belongs to this session,
-                # not to every other default-farm user in the process —
-                # which is also what makes a byte budget enforceable.
-                farm_bytes = (
-                    None if self.memory_budget is None
-                    else max(1, self.memory_budget // 2)
+                # A private farm: the memory its factorizations hold
+                # belongs to this session, not to every other
+                # default-farm user in the process — which is what makes
+                # a byte budget enforceable.
+                self._farm = SolveFarm(
+                    max_bytes=max(1, self.memory_budget // 2)
                 )
-                self._farm = SolveFarm(workers=self.workers,
-                                       max_bytes=farm_bytes)
                 self._owns_farm = True
                 self._closed = False  # fresh resources, fresh teardown
             else:
@@ -570,10 +556,10 @@ class ThermalService:
     def close(self) -> None:
         """Tear the session down — idempotent, exactly-once.
 
-        Releases the private farm's worker pool and cached
-        factorizations (a farm passed in by the caller is left alone:
-        they own its lifecycle), drops every per-scenario engine, and
-        clears the shared trunk-feature cache.  Safe to call twice; a
+        Releases the private farm's cached factorizations (a farm
+        passed in by the caller is left alone: they own its lifecycle),
+        drops every per-scenario engine, and clears the shared
+        trunk-feature cache.  Safe to call twice; a
         closed service can still be used, lazily rebuilding what it
         needs (the flag only guards the teardown itself).
         """
@@ -581,8 +567,6 @@ class ThermalService:
             return
         self._closed = True
         if self._farm is not None and self._owns_farm:
-            if hasattr(self._farm, "close_pool"):
-                self._farm.close_pool()
             self._farm = None
             self._owns_farm = False
         for entry in self._sessions.values():
@@ -630,9 +614,7 @@ class ThermalService:
         if entry.engine is None:
             # Live view: weights loaded/trained later stay visible, and
             # the digest-keyed trunk cache invalidates transparently.
-            entry.engine = entry.setup.model.compile_with_cache(
-                self._trunk_cache, workers=self.workers
-            )
+            entry.engine = entry.setup.model.compile_with_cache(self._trunk_cache)
         return entry.engine
 
     def sample_designs(
@@ -769,8 +751,6 @@ class ThermalService:
                 )
 
         trainer = entry.setup.make_trainer()
-        if self.workers is not None:
-            trainer.config.workers = self.workers
         if checkpoint_every is not None:
             trainer.config.checkpoint_every = int(checkpoint_every)
         train_state = None
@@ -853,9 +833,7 @@ class ThermalService:
         """
         entry = self.family_session(family)
         if entry.engine is None:
-            entry.engine = entry.setup.model.compile_with_cache(
-                self._trunk_cache, workers=self.workers
-            )
+            entry.engine = entry.setup.model.compile_with_cache(self._trunk_cache)
         return entry.engine
 
     def train_family(
@@ -912,8 +890,6 @@ class ThermalService:
                 )
 
         trainer = FamilyTrainer(entry.setup)
-        if self.workers is not None:
-            trainer.config.workers = self.workers
         if checkpoint_every is not None:
             trainer.config.checkpoint_every = int(checkpoint_every)
         train_state = None
@@ -1054,8 +1030,6 @@ class ThermalService:
             iterations=(int(iterations) if iterations is not None
                         else target.trainer_config.iterations),
         )
-        if self.workers is not None:
-            config.workers = self.workers
         ft_setup = FamilySetup(
             family=family,
             net=fresh.net,
@@ -1125,7 +1099,7 @@ class ThermalService:
         if session is not None:
             if session.engine is None:
                 session.engine = session.setup.model.compile_with_cache(
-                    self._trunk_cache, workers=self.workers
+                    self._trunk_cache
                 )
             engine = session.engine
             setup = session.setup

@@ -21,7 +21,21 @@ from ..core.model import DeepOHeat
 from ..fdm import SolveFarm, get_default_farm
 from ..geometry import StructuredGrid
 from ..nn import Adam, paper_schedule
-from ..parallel import spawn_seeds
+
+
+def spawn_seeds(base_seed: int, n: int) -> List[int]:
+    """``n`` independent child seeds derived from ``base_seed``.
+
+    Deterministic in ``(base_seed, n)`` and nothing else.  Each child is
+    a 64-bit integer suitable for :func:`numpy.random.default_rng`; the
+    underlying :class:`~numpy.random.SeedSequence` spawn guarantees the
+    child streams are pairwise independent (no overlap, no correlation),
+    unlike ad-hoc ``base_seed + i`` offsets.
+    """
+    if n < 0:
+        raise ValueError("cannot spawn a negative number of seeds")
+    children = np.random.SeedSequence(int(base_seed)).spawn(int(n))
+    return [int(child.generate_state(1, dtype=np.uint64)[0]) for child in children]
 
 
 @dataclass
@@ -45,7 +59,6 @@ def generate_dataset(
     rng: Optional[np.random.Generator] = None,
     farm: Optional[SolveFarm] = None,
     seed: Optional[int] = None,
-    workers: Optional[int] = None,
     solver: Optional[str] = None,
 ) -> SupervisedDataset:
     """Label random configurations with the FDM reference solver.
@@ -59,10 +72,8 @@ def generate_dataset(
 
     Pass exactly one of ``rng`` (the historical shared-stream sampling)
     or ``seed``: with ``seed``, each fixed 256-sample chunk draws from
-    its own :func:`~repro.parallel.spawn_seeds` child stream — keyed to
-    the chunk, never the worker — so the dataset is bitwise identical
-    for any ``workers`` value.  ``workers`` > 1 shards the farm solves
-    across processes (see :meth:`~repro.fdm.SolveFarm.solve_many`).
+    its own :func:`spawn_seeds` child stream, so the dataset depends
+    only on ``(seed, n_samples)``.
     ``solver`` selects the farm tier for the labelling solves
     (``"auto"``/``"lu"``/``"block_cg"``/``"recycled"``): the recycled
     tier is the data-generation regime the block-Krylov recipe targets —
@@ -108,7 +119,7 @@ def generate_dataset(
             ).heat_problem(grid)
             for index in range(lo, hi)
         ]
-        solutions = farm.solve_many(problems, workers=workers, solver=solver)
+        solutions = farm.solve_many(problems, solver=solver)
         for index, solution in zip(range(lo, hi), solutions):
             fields[index] = model.nd.temp_to_hat(solution.temperature)
     elapsed = time.perf_counter() - start

@@ -43,13 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="DeepOHeat reproduction (DAC 2023) command-line tools",
     )
     parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="parallel execution width: worker processes for FDM solves and "
-             "training shards, threads for serving matmuls (default: the "
-             "REPRO_WORKERS env var, else 1; 0 means all cores). Give it "
-             "before the subcommand: repro --workers 4 solve ...",
-    )
-    parser.add_argument(
         "--solver", choices=["auto", "lu", "block_cg", "recycled"],
         default=None,
         help="FDM solver tier for reference solves (default: per-grid "
@@ -254,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 # Shared plumbing
 # ----------------------------------------------------------------------
-def _service(workers: Optional[int] = None, solver: Optional[str] = None):
+def _service(solver: Optional[str] = None):
     """A service session rooted at the shared model cache.
 
     Reads ``DEFAULT_CACHE_DIR`` through :mod:`repro.experiments.common`
@@ -264,8 +257,7 @@ def _service(workers: Optional[int] = None, solver: Optional[str] = None):
     from .api import ThermalService
     from .experiments import common
 
-    return ThermalService(cache_dir=common.DEFAULT_CACHE_DIR,
-                          workers=workers, solver=solver)
+    return ThermalService(cache_dir=common.DEFAULT_CACHE_DIR, solver=solver)
 
 
 def _trained(service, name: str, scale: str, checkpoint: Optional[str]):
@@ -397,7 +389,7 @@ def _cmd_solve(args) -> int:
     from .api import scenario_for
     from .power import paper_test_suite, tiles_to_grid
 
-    service = _service(args.workers, args.solver)
+    service = _service(args.solver)
     scenario = scenario_for(args.experiment, scale="ci")
     setup = service.setup(scenario)
 
@@ -453,7 +445,7 @@ def _cmd_train(args) -> int:
     if args.seed:
         scenario.training.seed = args.seed
 
-    service = _service(args.workers, args.solver)
+    service = _service(args.solver)
     setup = service.setup(scenario)
     print(f"training {setup.name} ({setup.scale}): {setup.description}")
     print(model_summary(setup.model))
@@ -488,7 +480,7 @@ def _cmd_evaluate(args) -> int:
     from .analysis import format_table
     from .experiments import run_experiment_a, run_experiment_b
 
-    _, setup = _trained(_service(args.workers, args.solver), args.experiment, args.scale,
+    _, setup = _trained(_service(args.solver), args.experiment, args.scale,
                         args.checkpoint)
 
     if args.experiment == "a":
@@ -527,7 +519,7 @@ def _cmd_sweep(args) -> int:
 
     from .analysis import kv_block, model_summary
 
-    service = _service(args.workers, args.solver)
+    service = _service(args.solver)
     scenario, setup = _trained(service, args.experiment, args.scale,
                                args.checkpoint)
     result = service.sweep(
@@ -627,7 +619,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_transient(args) -> int:
     from .experiments import run_experiment_c
 
-    service = _service(args.workers, args.solver)
+    service = _service(args.solver)
     _, setup = _trained(service, "transient", args.scale, args.checkpoint)
 
     result = run_experiment_c(
@@ -707,7 +699,7 @@ def _cmd_run(args) -> int:
             print(f"  - {error}", file=sys.stderr)
         return 2
 
-    service = _service(args.workers, args.solver)
+    service = _service(args.solver)
     report = {
         "config": args.config,
         "scenario": scenario.name,
@@ -831,7 +823,6 @@ def _cmd_serve(args) -> int:
         max_wait=args.max_wait_ms / 1e3,
         queue_depth=args.queue_depth,
         memory_budget=budget,
-        workers=args.workers,
         cache_dir=common.DEFAULT_CACHE_DIR,
         watchdog_timeout=args.watchdog_timeout,
         solver=args.solver,
@@ -853,7 +844,7 @@ def _cmd_family(args) -> int:
             print(f"  - {err}", file=sys.stderr)
         return 2
 
-    service = _service(args.workers, args.solver)
+    service = _service(args.solver)
     if not args.quiet:
         print(f"family {family.name}: {family.n_members} member(s), "
               f"digest {family.content_digest()[:16]}")
@@ -894,7 +885,7 @@ def _cmd_finetune(args) -> int:
             print(f"  - {err}", file=sys.stderr)
         return 2
 
-    service = _service(args.workers, args.solver)
+    service = _service(args.solver)
     try:
         result = service.fine_tune(
             scenario,
@@ -937,8 +928,8 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     # Arm the fault-injection registry from REPRO_FAULTS so chaos
-    # harnesses can target whole CLI runs, not just pool workers
-    # (which self-arm in their initializer).  No-op when unset.
+    # harnesses can target whole CLI runs, `repro serve` daemons
+    # included.  No-op when unset.
     from repro import faults
 
     faults.load_from_env()

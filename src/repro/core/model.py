@@ -291,23 +291,17 @@ class DeepOHeat:
         self,
         copy: bool = True,
         max_cache_entries: int = 8,
-        workers: Optional[int] = None,
     ) -> CompiledSurrogate:
         """Freeze the current weights into a serving engine.
 
         ``copy=True`` (default) snapshots the weights, so the engine is
         immune to further training on this model; ``copy=False`` returns
         a live view that always evaluates the current parameters.
-        ``workers`` threads the engine's merge matmul (see
-        :class:`~repro.engine.CompiledSurrogate`).
         """
         return CompiledSurrogate(self, copy=copy,
-                                 max_cache_entries=max_cache_entries,
-                                 workers=workers)
+                                 max_cache_entries=max_cache_entries)
 
-    def compile_with_cache(
-        self, cache, workers: Optional[int] = None
-    ) -> CompiledSurrogate:
+    def compile_with_cache(self, cache) -> CompiledSurrogate:
         """Live-view engine backed by an externally shared trunk cache.
 
         Used by session façades (:class:`~repro.api.ThermalService`)
@@ -316,7 +310,7 @@ class DeepOHeat:
         trunk-weight digest, so scenarios sharing a query grid reuse
         features safely.
         """
-        return CompiledSurrogate(self, copy=False, cache=cache, workers=workers)
+        return CompiledSurrogate(self, copy=False, cache=cache)
 
     @property
     def engine(self) -> CompiledSurrogate:

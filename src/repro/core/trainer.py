@@ -10,7 +10,6 @@ driven, which is the paper's headline practicality claim.
 from __future__ import annotations
 
 import logging
-import pickle
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,13 +19,10 @@ import numpy as np
 
 from .. import autodiff as ad
 from .. import faults
-from ..backend import row_chunks
 from ..nn import Adam, ExponentialDecay, clip_grad_norm
 from ..nn.serialize import CheckpointCorrupt, read_payload, write_payload
-from ..parallel import PersistentPool, WorkerCrashed, resolve_workers, spawn_seeds
-from ..parallel.trainwork import seed_worker, train_shard_step, train_worker_init
 from .model import DeepOHeat
-from .sampler import CollocationBatch, CollocationPlan
+from .sampler import CollocationPlan
 
 logger = logging.getLogger("repro.core.trainer")
 
@@ -35,8 +31,7 @@ STATE_SCHEMA = "repro-trainer-state-v1"
 
 #: config fields that determine the numerical trajectory — a resume with
 #: any of these changed would silently compute a *different* run, so
-#: they are recorded at save time and enforced at load time.  (Worker
-#: count is deliberately absent: it only changes float summation order.)
+#: they are recorded at save time and enforced at load time.
 _RESUME_FIELDS = (
     "seed",
     "n_functions",
@@ -60,12 +55,6 @@ class TrainerConfig:
     component's (raw) magnitude, EMA-smoothed and clamped, so that no
     single residual — e.g. a stiff volumetric source — monopolises the
     gradient signal.  Off by default (the paper uses the plain eq.-11 sum).
-
-    ``workers`` enables data-parallel training: the sampled configurations
-    shard across worker-process model replicas, whose losses and gradients
-    recombine as the exact function-axis decomposition of the serial loss
-    (resolved via :func:`~repro.parallel.resolve_workers`; ``None`` defers
-    to ``REPRO_WORKERS``, 1 is the untouched serial loop).
     """
 
     iterations: int = 1000
@@ -83,16 +72,10 @@ class TrainerConfig:
     # False falls back to the legacy per-axis tape chains — the reference
     # path the fused-kernel parity tests and benchmarks compare against.
     stacked: bool = True
-    workers: Optional[int] = None
     # Autosave full trainer state (weights, Adam moments, RNG, iteration)
     # every N completed iterations when a checkpoint_path is passed to
     # :meth:`Trainer.run`.  None/0 disables autosave.
     checkpoint_every: Optional[int] = None
-    # Self-healing bound for the data-parallel pool: at most
-    # restart_budget worker respawns per sliding restart_window seconds
-    # before the run finishes serially.
-    restart_budget: int = 3
-    restart_window: float = 60.0
 
     def schedule(self) -> ExponentialDecay:
         return ExponentialDecay(
@@ -244,11 +227,6 @@ class Trainer:
         continues with a bitwise-identical trajectory versus an
         uninterrupted run; a corrupt snapshot raises
         :class:`~repro.nn.CheckpointCorrupt`.
-
-        With ``config.workers`` resolving above 1 the run is
-        data-parallel (see :meth:`_run_sharded`); any failure to bring
-        the worker pool up falls back to the serial loop with a warning
-        rather than aborting the run.
         """
         cfg = self.config
         resumed = None
@@ -263,35 +241,55 @@ class Trainer:
             if candidate.exists():
                 resumed = load_trainer_state(candidate)
                 self._check_resume_config(resumed[1])
-        workers = min(resolve_workers(cfg.workers), cfg.n_functions)
-        if workers > 1:
-            pool = None
-            try:
-                pool = PersistentPool(
-                    workers,
-                    initializer=train_worker_init,
-                    init_args=(pickle.dumps(self.model),),
-                    auto_heal=False,  # shard replays need manual reseeding
-                    restart_budget=cfg.restart_budget,
-                    restart_window=cfg.restart_window,
-                )
-                for index, seed in enumerate(spawn_seeds(cfg.seed, workers)):
-                    pool.run_on(index, seed_worker, seed)
-            except WorkerCrashed as exc:
-                logger.warning(
-                    "training pool failed to start (%s); running serially", exc
-                )
-                if pool is not None:
-                    pool.close()
-                pool = None
-            if pool is not None:
-                return self._run_sharded(
-                    pool, workers, callback, verbose, checkpoint_path, resumed
-                )
-        return self._run_serial(callback, verbose, checkpoint_path, resumed)
+        rng, params, optimizer, history, start_iteration = self._prepare_run(resumed)
+        schedule = cfg.schedule()
+        prior_wall = history.wall_time
+
+        start = time.perf_counter()
+        for iteration in range(start_iteration, cfg.iterations):
+            faults.hit("trainer.iteration", iteration=iteration)
+            raws = [
+                config_input.sample(rng, cfg.n_functions)
+                for config_input in self.model.inputs
+            ]
+            batch = self.plan.batch(rng, cfg.n_functions)
+            total, parts = self.model.compute_loss(raws, batch, stacked=cfg.stacked)
+            if cfg.balance_every and iteration % cfg.balance_every == 0:
+                self._rebalance(parts)
+            grads = ad.grad(total, params)
+            grad_arrays = [g.data for g in grads]
+            if cfg.clip_norm is not None:
+                grad_arrays = clip_grad_norm(grad_arrays, cfg.clip_norm)
+            optimizer.lr = schedule(iteration)
+            optimizer.step(grad_arrays)
+
+            is_log_step = (
+                iteration % cfg.log_every == 0 or iteration == cfg.iterations - 1
+            )
+            if is_log_step:
+                history.record(iteration, total.item(), parts, optimizer.lr)
+                if callback is not None:
+                    callback(iteration, total.item(), parts)
+                if verbose:
+                    part_text = " ".join(
+                        f"{k}={v:.3e}" for k, v in sorted(parts.items())
+                    )
+                    print(f"[{iteration:5d}] loss={total.item():.4e} {part_text}")
+            self._maybe_checkpoint(
+                checkpoint_path,
+                iteration,
+                params,
+                optimizer,
+                rng,
+                history,
+                prior_wall,
+                start,
+            )
+        history.wall_time = prior_wall + time.perf_counter() - start
+        return history
 
     # ------------------------------------------------------------------
-    # Checkpoint/resume plumbing shared by both loops
+    # Checkpoint/resume plumbing
     # ------------------------------------------------------------------
     def _check_resume_config(self, meta: Dict) -> None:
         """Refuse to resume under config that would change the math."""
@@ -383,271 +381,6 @@ class Trainer:
             history=history,
             weights=self.model.builder.weights,
             config=cfg,
-        )
-
-    def _run_serial(
-        self,
-        callback: Optional[Callable[[int, float, Dict[str, float]], None]] = None,
-        verbose: bool = False,
-        checkpoint_path: Optional[Union[str, Path]] = None,
-        resumed: Optional[Tuple[Dict[str, np.ndarray], Dict]] = None,
-    ) -> TrainingHistory:
-        """The historical single-process loop (the workers<=1 path)."""
-        cfg = self.config
-        rng, params, optimizer, history, start_iteration = self._prepare_run(resumed)
-        schedule = cfg.schedule()
-        prior_wall = history.wall_time
-
-        start = time.perf_counter()
-        for iteration in range(start_iteration, cfg.iterations):
-            faults.hit("trainer.iteration", iteration=iteration)
-            raws = [
-                config_input.sample(rng, cfg.n_functions)
-                for config_input in self.model.inputs
-            ]
-            batch = self.plan.batch(rng, cfg.n_functions)
-            total, parts = self.model.compute_loss(raws, batch, stacked=cfg.stacked)
-            if cfg.balance_every and iteration % cfg.balance_every == 0:
-                self._rebalance(parts)
-            grads = ad.grad(total, params)
-            grad_arrays = [g.data for g in grads]
-            if cfg.clip_norm is not None:
-                grad_arrays = clip_grad_norm(grad_arrays, cfg.clip_norm)
-            optimizer.lr = schedule(iteration)
-            optimizer.step(grad_arrays)
-
-            is_log_step = (
-                iteration % cfg.log_every == 0 or iteration == cfg.iterations - 1
-            )
-            if is_log_step:
-                history.record(iteration, total.item(), parts, optimizer.lr)
-                if callback is not None:
-                    callback(iteration, total.item(), parts)
-                if verbose:
-                    part_text = " ".join(
-                        f"{k}={v:.3e}" for k, v in sorted(parts.items())
-                    )
-                    print(f"[{iteration:5d}] loss={total.item():.4e} {part_text}")
-            self._maybe_checkpoint(
-                checkpoint_path,
-                iteration,
-                params,
-                optimizer,
-                rng,
-                history,
-                prior_wall,
-                start,
-            )
-        history.wall_time = prior_wall + time.perf_counter() - start
-        return history
-
-    def _heal_pool(
-        self, pool: PersistentPool, workers: int, exc: WorkerCrashed
-    ) -> Optional[PersistentPool]:
-        """Respawn dead replicas and reseed them, or give up to serial.
-
-        Pending tickets are forgotten first (their late answers are
-        discarded), because the whole iteration is re-dispatched — the
-        pool-level automatic ticket replay cannot be used here, as a
-        replayed shard may carry ``send=None`` against a replica that
-        lost its batch.  Returns the healed pool, or ``None`` when the
-        restart budget is exhausted (pool closed, caller goes serial).
-        """
-        cfg = self.config
-        try:
-            pool.forget_pending()
-            healed = []
-            # Respawn the known-crashed replica by index first: right
-            # after a crash ``Process.is_alive()`` may not have reaped
-            # the corpse yet, so ``heal_workers`` alone can miss it and
-            # spin (without ever consuming the restart budget).
-            if exc.worker is not None:
-                pool.respawn_worker(exc.worker, cause=str(exc))
-                healed.append(exc.worker)
-            healed += [w for w in pool.heal_workers() if w not in healed]
-            seeds = spawn_seeds(cfg.seed, workers)
-            for index in healed:
-                pool.run_on(index, seed_worker, seeds[index])
-        except WorkerCrashed as give_up:
-            logger.warning(
-                "training pool is beyond healing (%s); finishing the run "
-                "serially",
-                give_up,
-            )
-            pool.close()
-            return None
-        logger.warning(
-            "training pool worker crashed (%s); respawned replicas %s and "
-            "retrying the iteration sharded",
-            exc,
-            healed,
-        )
-        return pool
-
-    def _run_sharded(
-        self,
-        pool: PersistentPool,
-        workers: int,
-        callback: Optional[Callable[[int, float, Dict[str, float]], None]],
-        verbose: bool,
-        checkpoint_path: Optional[Union[str, Path]] = None,
-        resumed: Optional[Tuple[Dict[str, np.ndarray], Dict]] = None,
-    ) -> TrainingHistory:
-        """Data-parallel run: configuration shards on worker replicas.
-
-        Sampling stays in the parent and consumes the RNG stream exactly
-        as the serial loop does, so the drawn configurations and
-        collocation batches are identical for any worker count.  Each
-        iteration broadcasts the current parameters, evaluates shard
-        losses/gradients on the replicas, and recombines them weighted by
-        each shard's share of the function batch, in fixed shard order —
-        the exact function-axis decomposition of the serial loss, so
-        results differ from serial only by float summation order.  The
-        optimizer step, clipping, schedule and history live in the
-        parent, untouched.
-
-        A worker crash heals in place: dead replicas are respawned and
-        reseeded, stale tickets forgotten, and the *same iteration* is
-        re-dispatched sharded (re-shipping the batch), so the reduction
-        order — and therefore the trajectory — is unchanged.  Only when
-        the restart budget is exhausted does the rest of the run demote
-        to the serial step (with a logged warning); completed iterations
-        are kept either way.
-        """
-        cfg = self.config
-        rng, params, optimizer, history, start_iteration = self._prepare_run(resumed)
-        schedule = cfg.schedule()
-        prior_wall = history.wall_time
-        bounds = row_chunks(cfg.n_functions, workers)
-        shares = [(hi - lo) / cfg.n_functions for lo, hi in bounds]
-        last_batch = None
-        token = 0
-
-        start = time.perf_counter()
-        try:
-            for iteration in range(start_iteration, cfg.iterations):
-                faults.hit("trainer.iteration", iteration=iteration)
-                raws = [
-                    config_input.sample(rng, cfg.n_functions)
-                    for config_input in self.model.inputs
-                ]
-                batch = self.plan.batch(rng, cfg.n_functions)
-                total: Optional[float] = None
-                while pool is not None and total is None:
-                    # Shared-point batches cross the pipe once (fixed-mesh
-                    # plans reuse one object, keeping the replicas' geometry
-                    # caches hot); aligned batches carry per-function points
-                    # and are sliced to each shard every iteration.
-                    ship = batch.aligned or batch is not last_batch
-                    if ship:
-                        token += 1
-                        last_batch = batch
-                    param_arrays = [param.data for param in params]
-                    weights = (
-                        dict(self.model.builder.weights)
-                        if cfg.balance_every
-                        else None
-                    )
-                    try:
-                        tickets = []
-                        for worker, (lo, hi) in enumerate(bounds):
-                            if not ship:
-                                send = None
-                            elif batch.aligned:
-                                send = self._slice_batch(batch, lo, hi)
-                            else:
-                                send = batch
-                            tickets.append(
-                                pool.submit(
-                                    worker,
-                                    train_shard_step,
-                                    param_arrays,
-                                    [raw[lo:hi] for raw in raws],
-                                    send,
-                                    token,
-                                    weights,
-                                    cfg.stacked,
-                                )
-                            )
-                        total = 0.0
-                        parts: Dict[str, float] = {}
-                        grad_arrays: Optional[List[np.ndarray]] = None
-                        for share, ticket in zip(shares, tickets):
-                            shard_total, shard_parts, shard_grads = pool.result(
-                                ticket
-                            )
-                            total += share * shard_total
-                            for name, value in shard_parts.items():
-                                parts[name] = parts.get(name, 0.0) + share * value
-                            # Rebuild rather than `acc += ...`: scalar
-                            # parameters (the MIONet bias) carry 0-d grads,
-                            # for which in-place += silently rebinds.
-                            if grad_arrays is None:
-                                grad_arrays = [share * g for g in shard_grads]
-                            else:
-                                grad_arrays = [
-                                    acc + share * g
-                                    for acc, g in zip(grad_arrays, shard_grads)
-                                ]
-                    except WorkerCrashed as exc:
-                        total = None
-                        pool = self._heal_pool(pool, workers, exc)
-                        # Respawned replicas lost their resident batch:
-                        # force a re-ship on the retry (and for the rest
-                        # of the run, survivors just overwrite theirs).
-                        last_batch = None
-                if total is None:
-                    loss, parts = self.model.compute_loss(
-                        raws, batch, stacked=cfg.stacked
-                    )
-                    grads = ad.grad(loss, params)
-                    grad_arrays = [g.data for g in grads]
-                    total = loss.item()
-                if cfg.balance_every and iteration % cfg.balance_every == 0:
-                    self._rebalance(parts)
-                if cfg.clip_norm is not None:
-                    grad_arrays = clip_grad_norm(grad_arrays, cfg.clip_norm)
-                optimizer.lr = schedule(iteration)
-                optimizer.step(grad_arrays)
-
-                is_log_step = (
-                    iteration % cfg.log_every == 0
-                    or iteration == cfg.iterations - 1
-                )
-                if is_log_step:
-                    history.record(iteration, total, parts, optimizer.lr)
-                    if callback is not None:
-                        callback(iteration, total, parts)
-                    if verbose:
-                        part_text = " ".join(
-                            f"{k}={v:.3e}" for k, v in sorted(parts.items())
-                        )
-                        print(f"[{iteration:5d}] loss={total:.4e} {part_text}")
-                self._maybe_checkpoint(
-                    checkpoint_path,
-                    iteration,
-                    params,
-                    optimizer,
-                    rng,
-                    history,
-                    prior_wall,
-                    start,
-                )
-        finally:
-            if pool is not None:
-                pool.close()
-        history.wall_time = prior_wall + time.perf_counter() - start
-        return history
-
-    @staticmethod
-    def _slice_batch(batch: CollocationBatch, lo: int, hi: int) -> CollocationBatch:
-        """An aligned batch's rows for one function shard."""
-        return CollocationBatch(
-            hat={region: points[lo:hi] for region, points in batch.hat.items()},
-            si={region: points[lo:hi] for region, points in batch.si.items()},
-            aligned=True,
-            dedup_base=batch.dedup_base,
-            dedup_indices=batch.dedup_indices,
         )
 
     def _rebalance(self, parts: Dict[str, float]) -> None:

@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..backend import get_backend
 from ..nn.activations import Activation
 from ..nn.deeponet import MIONet, TrunkNet
 from ..nn.fourier import FourierFeatures, fourier_fast_forward
@@ -187,21 +186,6 @@ class FrozenMIONet:
             product = product * branch(np.asarray(u, dtype=np.float64))
         return product
 
-    def combine(
-        self,
-        features: np.ndarray,
-        trunk_features: np.ndarray,
-        workers: int = 1,
-    ) -> np.ndarray:
-        """Merge (n_funcs, q) branch features with (n_pts, q) trunk features.
-
-        ``workers > 1`` shards the design axis of the merge matmul across
-        backend threads (numpy's dgemm releases the GIL, so the chunks
-        overlap on multicore hosts while the trunk block stays shared
-        read-only); ``workers <= 1`` is the exact historical expression.
-        """
-        if workers <= 1:
-            return features @ trunk_features.T + self.bias
-        out = get_backend().matmul_chunked(features, trunk_features.T, workers=workers)
-        out += self.bias
-        return out
+    def combine(self, features: np.ndarray, trunk_features: np.ndarray) -> np.ndarray:
+        """Merge (n_funcs, q) branch features with (n_pts, q) trunk features."""
+        return features @ trunk_features.T + self.bias

@@ -31,7 +31,6 @@ import hashlib
 import numpy as np
 
 from ..geometry import StructuredGrid
-from ..parallel import resolve_workers
 from .frozen import FrozenMIONet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports engine)
@@ -159,11 +158,6 @@ class CompiledSurrogate:
         a private one — the sharing hook for multi-scenario sessions
         (cache keys bind the trunk-weight digest, so sharing is safe).
         ``max_cache_entries`` is ignored when given.
-    workers:
-        Default thread count for the design-axis merge matmul in
-        :meth:`predict_batch` / :meth:`predict_rollout` (resolved via
-        :func:`~repro.parallel.resolve_workers`; ``None`` defers to
-        ``REPRO_WORKERS``, 1 is the exact legacy expression).
     """
 
     def __init__(
@@ -172,7 +166,6 @@ class CompiledSurrogate:
         copy: bool = True,
         max_cache_entries: int = 8,
         cache: Optional[TrunkFeatureCache] = None,
-        workers: Optional[int] = None,
     ):
         if max_cache_entries < 1:
             raise ValueError("max_cache_entries must be >= 1")
@@ -181,7 +174,6 @@ class CompiledSurrogate:
         self.nd = model.nd
         self.transient = getattr(model, "transient", None)
         self.copied = bool(copy)
-        self.workers = workers
         self._cache = cache if cache is not None else TrunkFeatureCache(
             max_cache_entries
         )
@@ -350,26 +342,19 @@ class CompiledSurrogate:
         grid: Optional[StructuredGrid] = None,
         points_si: Optional[np.ndarray] = None,
         t: Optional[float] = None,
-        workers: Optional[int] = None,
     ) -> np.ndarray:
         """Temperatures (kelvin) for every design, shape ``(B, n_points)``.
 
         Transient engines evaluate at one instant ``t`` (seconds);
-        steady engines must not pass it.  ``workers`` (default: the
-        engine's constructor knob) > 1 threads the merge matmul over the
-        design axis.
+        steady engines must not pass it.
         """
         if t is not None:
             return self.predict_rollout(
                 designs, [float(t)], grid=grid, points_si=points_si,
-                workers=workers,
             )[:, 0, :]
         trunk = self.trunk_features(grid=grid, points_si=points_si)
         features = self.net.branch_features(self.encode_designs(designs))
-        effective = resolve_workers(self.workers if workers is None else workers)
-        return self.nd.temp_to_si(
-            self.net.combine(features, trunk, workers=effective)
-        )
+        return self.nd.temp_to_si(self.net.combine(features, trunk))
 
     def predict(
         self,
@@ -387,7 +372,6 @@ class CompiledSurrogate:
         times: np.ndarray,
         grid: Optional[StructuredGrid] = None,
         points_si: Optional[np.ndarray] = None,
-        workers: Optional[int] = None,
     ) -> np.ndarray:
         """Temperature rollout over ``times`` (s): ``(B, n_times, n_points)``.
 
@@ -396,18 +380,14 @@ class CompiledSurrogate:
         every design batch replayed on the same time grid), branch nets
         run once per design, and the whole rollout is a single
         ``(B, q) @ (q, K * N)`` matmul — cost per additional design is
-        one branch forward regardless of horizon length.  ``workers`` > 1
-        threads that matmul over the design axis.
+        one branch forward regardless of horizon length.
         """
         if self.transient is None:
             raise ValueError("predict_rollout requires a transient model")
         times = np.atleast_1d(np.asarray(times, dtype=np.float64))
         trunk = self.trunk_features(grid=grid, points_si=points_si, times=times)
         features = self.net.branch_features(self.encode_designs(designs))
-        effective = resolve_workers(self.workers if workers is None else workers)
-        flat = self.nd.temp_to_si(
-            self.net.combine(features, trunk, workers=effective)
-        )
+        flat = self.nd.temp_to_si(self.net.combine(features, trunk))
         n_designs = features.shape[0]
         n_times = times.shape[0]
         return flat.reshape(n_designs, n_times, -1)
@@ -418,7 +398,6 @@ class CompiledSurrogate:
         grid: Optional[StructuredGrid] = None,
         points_si: Optional[np.ndarray] = None,
         times: Optional[np.ndarray] = None,
-        workers: Optional[int] = None,
     ) -> List[np.ndarray]:
         """Cross-request batch fusion: many design groups, one merge dgemm.
 
@@ -453,10 +432,7 @@ class CompiledSurrogate:
             for branch in range(len(self.inputs))
         ]
         features = self.net.branch_features(fused)
-        effective = resolve_workers(self.workers if workers is None else workers)
-        flat = self.nd.temp_to_si(
-            self.net.combine(features, trunk, workers=effective)
-        )
+        flat = self.nd.temp_to_si(self.net.combine(features, trunk))
         if times is not None:
             flat = flat.reshape(flat.shape[0], times.shape[0], -1)
         bounds = np.concatenate([[0], np.cumsum(sizes)])

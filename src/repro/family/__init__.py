@@ -11,7 +11,7 @@ scenarios instead of a single configuration:
   fixed-width conditioning vector appended as an extra branch.
 - :class:`FamilyTrainer` — round-robins collocation batches over
   members into the one shared net, with the standard checkpoint/resume
-  and sharded data-parallel machinery.
+  machinery.
 
 Fine-tuning (``service.fine_tune``) and checkpoint lineage live in
 :mod:`repro.api.service`; serving of family checkpoints in

@@ -5,16 +5,12 @@ loop — same Adam, same staircase schedule, same crash-safe
 checkpoint/resume snapshots — but each iteration draws its function
 batch from member ``iteration % n_members``: every member keeps its own
 collocation plan and physics while every gradient lands on the one
-shared net.  With ``workers`` > 1 the function batch shards across
-worker-process replicas of the member models
-(:func:`~repro.parallel.trainwork.family_train_shard_step`), exactly
-like single-scenario data-parallel training.
+shared net.
 """
 
 from __future__ import annotations
 
 import logging
-import pickle
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +20,6 @@ import numpy as np
 
 from .. import autodiff as ad
 from .. import faults
-from ..backend import row_chunks
 from ..core.presets import ExperimentSetup
 from ..core.trainer import (
     Trainer,
@@ -34,8 +29,6 @@ from ..core.trainer import (
     save_trainer_state,
 )
 from ..nn import Adam, clip_grad_norm
-from ..parallel import PersistentPool, WorkerCrashed, resolve_workers, spawn_seeds
-from ..parallel.trainwork import family_train_shard_step, family_worker_init, seed_worker
 from .spec import ScenarioFamily
 
 logger = logging.getLogger("repro.family.trainer")
@@ -198,11 +191,23 @@ class FamilyTrainer:
     # ------------------------------------------------------------------
     # Stepping
     # ------------------------------------------------------------------
-    def _finish_step(self, iteration: int, total: float,
-                     parts: Dict[str, float], grad_arrays: List[np.ndarray],
-                     member: int, callback, verbose: bool) -> None:
-        """Shared serial/sharded tail: clip, schedule, step, log."""
+    def _step(self, iteration: int, callback, verbose: bool) -> None:
+        """One round-robin training iteration."""
         cfg = self.config
+        member = iteration % len(self.setup.setups)
+        member_setup = self.setup.setups[member]
+        faults.hit("family.iteration", iteration=iteration, member=member)
+        raws = [
+            config_input.sample(self._rng, cfg.n_functions)
+            for config_input in member_setup.model.inputs
+        ]
+        batch = member_setup.plan.batch(self._rng, cfg.n_functions)
+        loss, parts = member_setup.model.compute_loss(
+            raws, batch, stacked=cfg.stacked
+        )
+        grads = ad.grad(loss, self._params)
+        total = float(loss.item())
+        grad_arrays = [g.data for g in grads]
         if cfg.clip_norm is not None:
             grad_arrays = clip_grad_norm(grad_arrays, cfg.clip_norm)
         self._optimizer.lr = self._schedule(iteration)
@@ -220,27 +225,9 @@ class FamilyTrainer:
                 print(f"[{iteration:5d}] member={member} "
                       f"loss={total:.4e} {part_text}")
 
-    def _serial_step(self, iteration: int, callback, verbose: bool) -> None:
-        """One round-robin training iteration, fully in-process."""
-        cfg = self.config
-        member = iteration % len(self.setup.setups)
-        member_setup = self.setup.setups[member]
-        faults.hit("family.iteration", iteration=iteration, member=member)
-        raws = [
-            config_input.sample(self._rng, cfg.n_functions)
-            for config_input in member_setup.model.inputs
-        ]
-        batch = member_setup.plan.batch(self._rng, cfg.n_functions)
-        total, parts = member_setup.model.compute_loss(
-            raws, batch, stacked=cfg.stacked
-        )
-        grads = ad.grad(total, self._params)
-        self._finish_step(iteration, float(total.item()), parts,
-                          [g.data for g in grads], member, callback, verbose)
-
     def advance(self, n: int, callback=None, verbose: bool = False
                 ) -> TrainingHistory:
-        """Run ``n`` more serial iterations from the current state.
+        """Run ``n`` more iterations from the current state.
 
         The incremental API for interleaving training with evaluation
         (e.g. fine-tune-to-error-threshold measurements); repeated
@@ -251,7 +238,7 @@ class FamilyTrainer:
         prior_wall = self._history.wall_time
         started = time.perf_counter()
         for _ in range(int(n)):
-            self._serial_step(self._iteration, callback, verbose)
+            self._step(self._iteration, callback, verbose)
             self._iteration += 1
         self._history.wall_time = prior_wall + time.perf_counter() - started
         return self._history
@@ -269,10 +256,7 @@ class FamilyTrainer:
         ``checkpoint_path`` + ``config.checkpoint_every`` autosave a
         resumable snapshot; ``resume=True`` restores it (missing file
         starts fresh) with a bitwise-identical trajectory versus an
-        uninterrupted run.  With ``config.workers`` resolving above 1
-        the function batch shards across worker replicas of the member
-        models; a worker crash demotes the rest of the run to the
-        serial step with a warning (completed iterations are kept).
+        uninterrupted run.
         """
         cfg = self.config
         resumed = None
@@ -289,101 +273,14 @@ class FamilyTrainer:
                 Trainer._check_resume_config(self, resumed[1])
         self._ensure_state(resumed)
 
-        workers = min(resolve_workers(cfg.workers), cfg.n_functions)
-        pool = None
-        if workers > 1:
-            try:
-                pool = PersistentPool(
-                    workers,
-                    initializer=family_worker_init,
-                    init_args=(
-                        pickle.dumps([s.model for s in self.setup.setups]),
-                    ),
-                    auto_heal=False,
-                    restart_budget=cfg.restart_budget,
-                    restart_window=cfg.restart_window,
-                )
-                for index, seed in enumerate(spawn_seeds(cfg.seed, workers)):
-                    pool.run_on(index, seed_worker, seed)
-            except WorkerCrashed as exc:
-                logger.warning("family training pool failed to start (%s); "
-                               "running serially", exc)
-                if pool is not None:
-                    pool.close()
-                pool = None
-
-        bounds = row_chunks(cfg.n_functions, workers) if pool else []
-        shares = [(hi - lo) / cfg.n_functions for lo, hi in bounds]
-        token = 0
         prior_wall = self._history.wall_time
         started = time.perf_counter()
-        try:
-            while self._iteration < cfg.iterations:
-                iteration = self._iteration
-                if pool is None:
-                    self._serial_step(iteration, callback, verbose)
-                else:
-                    member = iteration % len(self.setup.setups)
-                    member_setup = self.setup.setups[member]
-                    faults.hit("family.iteration", iteration=iteration,
-                               member=member)
-                    raws = [
-                        config_input.sample(self._rng, cfg.n_functions)
-                        for config_input in member_setup.model.inputs
-                    ]
-                    batch = member_setup.plan.batch(self._rng, cfg.n_functions)
-                    token += 1
-                    param_arrays = [param.data for param in self._params]
-                    try:
-                        tickets = []
-                        for worker, (lo, hi) in enumerate(bounds):
-                            send = (Trainer._slice_batch(batch, lo, hi)
-                                    if batch.aligned else batch)
-                            tickets.append(pool.submit(
-                                worker,
-                                family_train_shard_step,
-                                member,
-                                param_arrays,
-                                [raw[lo:hi] for raw in raws],
-                                send,
-                                token,
-                                cfg.stacked,
-                            ))
-                        total = 0.0
-                        parts: Dict[str, float] = {}
-                        grad_arrays: Optional[List[np.ndarray]] = None
-                        for share, ticket in zip(shares, tickets):
-                            shard_total, shard_parts, shard_grads = \
-                                pool.result(ticket)
-                            total += share * shard_total
-                            for name, value in shard_parts.items():
-                                parts[name] = parts.get(name, 0.0) \
-                                    + share * value
-                            if grad_arrays is None:
-                                grad_arrays = [share * g for g in shard_grads]
-                            else:
-                                grad_arrays = [
-                                    acc + share * g
-                                    for acc, g in zip(grad_arrays, shard_grads)
-                                ]
-                        self._finish_step(iteration, total, parts,
-                                          grad_arrays, member, callback,
-                                          verbose)
-                    except WorkerCrashed as exc:
-                        logger.warning(
-                            "family training pool worker crashed (%s); "
-                            "finishing the run serially", exc,
-                        )
-                        pool.close()
-                        pool = None
-                        self._serial_step(iteration, callback, verbose)
-                self._iteration += 1
-                if (checkpoint_path is not None and cfg.checkpoint_every
-                        and self._iteration % cfg.checkpoint_every == 0
-                        and self._iteration < cfg.iterations):
-                    self._snapshot(checkpoint_path, prior_wall, started)
-        finally:
-            if pool is not None:
-                pool.close()
+        while self._iteration < cfg.iterations:
+            self._step(self._iteration, callback, verbose)
+            self._iteration += 1
+            if (checkpoint_path is not None and cfg.checkpoint_every
+                    and self._iteration % cfg.checkpoint_every == 0
+                    and self._iteration < cfg.iterations):
+                self._snapshot(checkpoint_path, prior_wall, started)
         self._history.wall_time = prior_wall + time.perf_counter() - started
         return self._history

@@ -1,13 +1,13 @@
 """Deterministic fault injection for exercising recovery paths.
 
-Every self-healing mechanism in this codebase — worker respawn in
-:class:`~repro.parallel.PersistentPool`, operator replay in the solve
-farm, training checkpoint/resume, the serve watchdog — is only as good
-as its test coverage, and crashes are hard to schedule from outside.
-This module lets tests (and chaos jobs) schedule them *exactly*:
-production code calls :func:`hit` at named injection points, and an
-armed :class:`FaultPlan` decides whether that particular hit kills the
-process, raises, sleeps, or drops a connection.
+Every recovery mechanism in this codebase — training checkpoint/resume,
+the serve watchdog, per-request serial fallback, client retries after a
+dropped connection — is only as good as its test coverage, and crashes
+are hard to schedule from outside.  This module lets tests (and chaos
+jobs) schedule them *exactly*: production code calls :func:`hit` at
+named injection points, and an armed :class:`FaultPlan` decides whether
+that particular hit kills the process, raises, sleeps, or drops a
+connection.
 
 Disarmed (the default, and the only state production ever runs in) a
 :func:`hit` call is one module-global ``None`` check — no allocation
@@ -15,8 +15,8 @@ beyond the kwargs dict, no locking, no plan scan.
 
 Sites currently wired in::
 
-    pool.task          worker side, before each task        (worker, task)
     trainer.iteration  parent, top of each training step    (iteration)
+    family.iteration   top of each family training step     (iteration, member)
     serve.compute      batcher thread, before a fused call  (op, batch)
     serve.connection   daemon, before each frame read       (peer)
 
@@ -39,12 +39,13 @@ with probability drawn from a ``seed``-determined stream so stochastic
 plans replay identically.
 
 Cross-process propagation: ``arm(plan, propagate=True)`` exports the
-plan via the ``REPRO_FAULTS`` environment variable, which spawned pool
-workers re-arm from (:func:`load_from_env`).  Hit counters are
-per-process, so a respawned worker starts counting from zero — a test
-that wants a one-shot worker kill should spawn the pool inside the
-armed window, then call :func:`unpropagate` before triggering the
-fault, so replacement workers come up disarmed.
+plan via the ``REPRO_FAULTS`` environment variable, which child
+processes (``repro`` CLI runs, serving daemons) re-arm from
+(:func:`load_from_env`).  Hit counters are per-process, so a restarted
+child starts counting from zero — a test that wants a one-shot kill
+should start the child inside the armed window, then call
+:func:`unpropagate` before restarting it, so the replacement comes up
+disarmed.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ class FaultRule:
 
     ``match`` entries are compared by equality against the context the
     site passes to :func:`hit`; a rule only counts hits whose context
-    matches (so ``match={"worker": 1}`` schedules against worker 1's
-    private task sequence, not the pool-wide one).
+    matches (so ``match={"op": "predict"}`` schedules against the
+    ``predict`` dispatches only, not every fused call).
     """
 
     site: str
@@ -211,10 +212,10 @@ def fired(site: str) -> int:
 
 
 def arm(plan: FaultPlan, propagate: bool = False) -> FaultPlan:
-    """Arm ``plan`` in this process; optionally export it for spawns.
+    """Arm ``plan`` in this process; optionally export it to children.
 
     With ``propagate=True`` the plan is also written to the
-    ``REPRO_FAULTS`` environment variable so worker processes spawned
+    ``REPRO_FAULTS`` environment variable so child processes started
     *while it is set* self-arm (see :func:`load_from_env`).
     """
     global _REGISTRY
@@ -225,12 +226,12 @@ def arm(plan: FaultPlan, propagate: bool = False) -> FaultPlan:
 
 
 def unpropagate() -> None:
-    """Stop exporting the plan to new spawns (already-armed stay armed)."""
+    """Stop exporting the plan to new children (armed ones stay armed)."""
     os.environ.pop(ENV_VAR, None)
 
 
 def disarm() -> None:
-    """Disarm this process and stop exporting to spawns."""
+    """Disarm this process and stop exporting to children."""
     global _REGISTRY
     _REGISTRY = None
     unpropagate()
@@ -247,10 +248,10 @@ def injected(plan: FaultPlan, propagate: bool = False) -> Iterator[FaultPlan]:
 
 
 def load_from_env() -> bool:
-    """Arm from ``REPRO_FAULTS`` if set (worker-process entry hook).
+    """Arm from ``REPRO_FAULTS`` if set (child-process entry hook).
 
     Malformed values are ignored with a warning — a stale variable in a
-    shell profile must not take down every pool worker.
+    shell profile must not take down every CLI run.
     """
     blob = os.environ.get(ENV_VAR, "").strip()
     if not blob:

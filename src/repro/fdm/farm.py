@@ -32,23 +32,7 @@ The farm amortises the expensive half:
   from the byte budget (:func:`~repro.fdm.krylov.choose_tier`) — grids
   whose LU fill cannot fit degrade to the iterative tiers instead of
   failing.  ``solver=None`` (the default) leaves the legacy ``method``
-  paths bitwise untouched;
-* with ``workers > 1`` (constructor knob, per-call override, or the
-  ``REPRO_WORKERS`` environment variable) the block solves shard across
-  a persistent process pool: the parent still owns problem objects and
-  assembly (design closures cannot cross a process boundary), while each
-  worker owns the factorizations for the operator digests
-  :func:`~repro.parallel.digest_owner` routes to it.  An operator matrix
-  crosses the pipe at most once per (worker, digest); afterwards only
-  RHS blocks stream.  A crashed worker is **healed in place**: the pool
-  respawns the process, the farm re-ships the operators the dead worker
-  held (its ``_worker_has`` marks), and the lost chunk tickets are
-  replayed — the batch completes sharded and the farm stays parallel.
-  Only when the pool's restart budget is exhausted (too many respawns
-  inside the sliding window) does the farm give up, retry the batch
-  serially, and demote itself to the serial path — results are identical
-  either way, because workers run the same ``splu`` / block-CG kernels
-  on the same matrices.
+  paths bitwise untouched.
 
 Numerics are unchanged: every solution carries the same
 :class:`~repro.fdm.solver.EnergyReport` audit as the per-design path, and
@@ -57,7 +41,6 @@ the test-suite pins cache-hit solves bitwise against cold-cache solves.
 
 from __future__ import annotations
 
-import logging
 import threading
 import time
 from collections import OrderedDict
@@ -68,14 +51,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ..backend import row_chunks
-from ..parallel import PersistentPool, WorkerCrashed, digest_owner, resolve_workers
-from ..parallel.farmwork import (
-    install_basis,
-    install_operator,
-    solve_chunk,
-    solve_worker_init,
-)
 from .assembly import (
     AssembledSystem,
     HeatProblem,
@@ -102,8 +77,6 @@ from .krylov import (
 )
 from .solver import ThermalSolution, energy_report
 
-logger = logging.getLogger("repro.fdm.farm")
-
 
 @dataclass
 class FarmStats:
@@ -124,8 +97,6 @@ class FarmStats:
     rhs_assemblies: int = 0
     block_solves: int = 0
     problems_solved: int = 0
-    worker_respawns: int = 0
-    serial_fallbacks: int = 0
     iterations_by_digest: Dict[str, List[int]] = field(default_factory=dict)
 
     def record_block_iterations(self, key: str, iterations: np.ndarray) -> None:
@@ -148,8 +119,6 @@ class FarmStats:
             "rhs_assemblies": self.rhs_assemblies,
             "block_solves": self.block_solves,
             "problems_solved": self.problems_solved,
-            "worker_respawns": self.worker_respawns,
-            "serial_fallbacks": self.serial_fallbacks,
         }
 
 
@@ -295,17 +264,6 @@ class SolveFarm:
         farm through this bound; the most recently used slot always
         survives (evicting the operator a solve needs right now would
         thrash).
-    workers:
-        Default worker count for :meth:`solve_many`'s sharded path
-        (resolved via :func:`~repro.parallel.resolve_workers`: ``None``
-        defers to ``REPRO_WORKERS``, ``0`` means all cores, 1 is the
-        serial legacy path).  The pool starts lazily on the first
-        sharded solve and is released by :meth:`close_pool`.
-    restart_budget / restart_window:
-        Self-healing bound, passed through to the pool: at most
-        ``restart_budget`` worker respawns inside any sliding
-        ``restart_window`` seconds before the farm gives up and demotes
-        itself to the serial path (see the module docstring).
     solver:
         Default solver tier for :meth:`solve_many` (per-call
         overridable): ``None`` keeps the legacy ``method`` semantics
@@ -327,10 +285,7 @@ class SolveFarm:
     def __init__(
         self,
         max_operators: int = 8,
-        workers: Optional[int] = None,
         max_bytes: Optional[int] = None,
-        restart_budget: int = 3,
-        restart_window: float = 60.0,
         solver: Optional[str] = None,
         preconditioner: str = "jacobi",
         recycle_block: int = 8,
@@ -354,9 +309,6 @@ class SolveFarm:
             raise ValueError("recycle_block must be >= 1")
         self.max_operators = int(max_operators)
         self.max_bytes = None if max_bytes is None else int(max_bytes)
-        self.workers = workers
-        self.restart_budget = int(restart_budget)
-        self.restart_window = float(restart_window)
         self.solver = solver
         self.preconditioner = preconditioner
         self.recycle_block = int(recycle_block)
@@ -366,14 +318,6 @@ class SolveFarm:
         # The LRU is shared by serving threads (engine compile, transient
         # stepping), so lookup/insert/evict run under one reentrant lock.
         self._lock = threading.RLock()
-        self._pool: Optional[PersistentPool] = None
-        self._pool_broken = False
-        # (worker index, digest, method) triples already shipped their
-        # operator matrix — afterwards only RHS blocks cross the pipe.
-        self._worker_has: set = set()
-        # (worker index, digest) -> shipped RecycleBasis version, so a
-        # grown basis re-ships exactly once per worker.
-        self._worker_basis: Dict[Tuple[int, str], int] = {}
 
     # ------------------------------------------------------------------
     # Operator cache
@@ -561,7 +505,6 @@ class SolveFarm:
         method: str = "direct",
         tol: Optional[float] = None,
         max_iter: Optional[int] = None,
-        workers: Optional[int] = None,
         solver: Optional[str] = None,
         preconditioner: Optional[str] = None,
     ) -> List[ThermalSolution]:
@@ -583,11 +526,6 @@ class SolveFarm:
         are chosen per digest group, so one batch may mix them.  The
         iterative tiers default to ``tol=1e-12`` (measured parity vs LU
         at that tolerance is ~1e-10 K); the legacy paths keep 1e-10.
-
-        ``workers`` (default: the farm's constructor knob) > 1 shards the
-        block solves across a persistent process pool — see the module
-        docstring; legacy-path solutions are identical to the serial
-        path, tier solutions agree with LU to solver tolerance.
         """
         if method not in ("direct", "cg"):
             raise ValueError(f"unknown method {method!r}; use 'direct' or 'cg'")
@@ -631,9 +569,6 @@ class SolveFarm:
                 self.stats.operator_hits += 1
             groups[key].append(index)
 
-        # RHS assembly always happens in the parent: problems carry design
-        # closures that cannot cross a process boundary, and each RHS is
-        # O(n) next to the factorization it feeds.
         prepared: List[Tuple] = []
         for key, indices in groups.items():
             entry = entries[key]
@@ -657,35 +592,6 @@ class SolveFarm:
             key: 0 if entries[key].basis is None else entries[key].basis.m
             for key in groups
         }
-
-        effective = resolve_workers(self.workers if workers is None else workers)
-        if effective > 1 and len(problems) > 1 and not self._pool_broken:
-            solved = self._solve_groups_sharded(
-                prepared, max_iter, effective, precond_name
-            )
-            if solved is not None:
-                for bundle, outcome in zip(prepared, solved):
-                    key, indices, entry, rhs_parts, rhs_seconds, _, mode, _ = bundle
-                    block_solution, iterations, solve_seconds, factor_seconds = outcome
-                    self._emit_group(
-                        solutions,
-                        mode,
-                        key,
-                        indices,
-                        entry,
-                        cached_flags[key],
-                        rhs_parts,
-                        rhs_seconds,
-                        block_solution,
-                        iterations,
-                        solve_seconds,
-                        factor_seconds,
-                        workers_used=effective,
-                        solver_requested=solver,
-                        precond_name=precond_name,
-                        deflation_used=used_dims[key],
-                    )
-                return solutions  # type: ignore[return-value]
 
         for key, indices, entry, rhs_parts, rhs_seconds, block, mode, group_tol in (
             prepared
@@ -755,7 +661,6 @@ class SolveFarm:
                 iterations,
                 solve_seconds,
                 entry.factor_seconds,
-                workers_used=None,
                 solver_requested=solver,
                 precond_name=precond_name,
                 deflation_used=used_dims[key],
@@ -783,12 +688,11 @@ class SolveFarm:
         iterations: np.ndarray,
         solve_seconds: float,
         factor_seconds: float,
-        workers_used: Optional[int],
         solver_requested: Optional[str] = None,
         precond_name: str = "jacobi",
         deflation_used: int = 0,
     ) -> None:
-        """Per-column postprocessing shared by the serial and sharded paths.
+        """Per-column postprocessing of one solved digest group.
 
         Branches on representation: matrix-backed modes audit through
         the CSR operator exactly as before; the ``recycled`` mode audits
@@ -835,8 +739,6 @@ class SolveFarm:
                 "linear_residual": float(np.linalg.norm(residual)),
                 "energy": report,
             }
-            if workers_used is not None:
-                info["workers"] = workers_used
             if solver_requested is not None:
                 info["solver"] = "lu" if mode == "direct" else mode
                 if mode == "block_cg":
@@ -848,255 +750,6 @@ class SolveFarm:
             solutions[index] = ThermalSolution(
                 grid=operator.grid, temperature=temperature, info=info
             )
-
-    # ------------------------------------------------------------------
-    # Process-sharded solving
-    # ------------------------------------------------------------------
-    def _ensure_pool(self, workers: int) -> PersistentPool:
-        if self._pool is not None and self._pool.workers != workers:
-            self.close_pool()
-        if self._pool is None:
-            self._pool = PersistentPool(
-                workers,
-                initializer=solve_worker_init,
-                restart_budget=self.restart_budget,
-                restart_window=self.restart_window,
-                on_respawn=self._replay_worker,
-            )
-            self._worker_has = set()
-            self._worker_basis = {}
-        return self._pool
-
-    def _replay_worker(self, pool: PersistentPool, worker: int) -> None:
-        """Re-ship a respawned worker's resident operators (pool hook).
-
-        The ``_worker_has`` marks are exactly the digests the dead
-        process held; every one still in the parent LRU is reinstalled
-        (factorized eagerly, so the replacement is as warm as the
-        original), and marks whose operator was since evicted from the
-        parent cache are simply dropped — the next solve that routes
-        there re-ships.  Runs *before* the pool replays lost tickets, so
-        ``matrix=None`` chunk tickets find their operator resident.
-        """
-        marks = sorted(m for m in self._worker_has if m[0] == worker)
-        self._worker_has.difference_update(marks)
-        stale_bases = [wk for wk in self._worker_basis if wk[0] == worker]
-        for wk in stale_bases:
-            del self._worker_basis[wk]
-        replayed = 0
-        with self._lock:
-            for _, key, method in marks:
-                entry = self._cache.get(key)
-                if entry is None:
-                    continue
-                if method in ("cg", "block_cg"):
-                    _, matrix = self._cg_system(entry)
-                elif method == "recycled":
-                    _, matrix, _ = self._stencil_system(entry)
-                else:
-                    matrix = entry.operator.matrix
-                pool.run_on(worker, install_operator, key, matrix, method)
-                if method == "recycled":
-                    # The replacement must also get the current deflation
-                    # basis, or its next chunks would regress to cold
-                    # iteration counts.
-                    basis = entry.basis
-                    if basis is not None and basis.m:
-                        pool.run_on(
-                            worker, install_basis, key, basis.W, basis.version
-                        )
-                        self._worker_basis[(worker, key)] = basis.version
-                self._worker_has.add((worker, key, method))
-                replayed += 1
-        self.stats.worker_respawns += 1
-        logger.info(
-            "replayed %d/%d resident operators to respawned farm worker %d",
-            replayed,
-            len(marks),
-            worker,
-        )
-
-    def close_pool(self) -> None:
-        """Release the sharded-solve worker pool (idempotent).
-
-        Worker-resident factorizations only ever grow within a pool's
-        lifetime; closing the pool is how that memory is reclaimed.
-        """
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-            self._worker_has = set()
-            self._worker_basis = {}
-
-    def _solve_groups_sharded(
-        self,
-        prepared: Sequence[Tuple],
-        max_iter: Optional[int],
-        workers: int,
-        precond_name: str = "jacobi",
-    ) -> Optional[List[Tuple[np.ndarray, np.ndarray, float, float]]]:
-        """Shard the prepared groups' block solves across the pool.
-
-        Each digest routes to its stable owner worker; when there are
-        fewer groups than workers, a group's columns split into
-        ``workers // n_groups`` contiguous chunks fanned out from the
-        owner — a single-operator sweep still uses every worker.  The
-        payload shipped once per (worker, digest, mode) is the CSR
-        matrix (direct), the scaled CSR system (cg / block_cg) or the
-        scaled :class:`~repro.fdm.krylov.StencilCore` plus the current
-        deflation basis (recycled; the basis re-ships on version bumps
-        and to respawned workers).  Chunks of a recycled group run
-        concurrently against the basis as of batch start; the parent
-        augments the basis from the returned solutions, so recycling
-        compounds across *calls* when sharded (and across sub-blocks
-        when serial).  Worker crashes heal transparently inside the pool
-        (respawn + operator/basis replay via :meth:`_replay_worker` +
-        lost-ticket resubmission).  Returns per-group ``(solution block,
-        iterations, solve s, factor s)`` in ``prepared`` order, or
-        ``None`` once the restart budget is exhausted (the farm then
-        demotes to the serial path).
-        """
-        chunks_per_group = max(1, workers // len(prepared))
-        total_columns = sum(len(bundle[1]) for bundle in prepared) or 1
-        start = time.perf_counter()
-        try:
-            pool = self._ensure_pool(workers)
-            tickets: List[List[Tuple[int, int, int]]] = []
-            install_tickets: List[int] = []
-            for key, indices, entry, _, _, block, mode, group_tol in prepared:
-                owner = digest_owner(key, workers)
-                if mode in ("cg", "block_cg"):
-                    scale, send_matrix = self._cg_system(entry)
-                    send_block = scale[:, None] * block
-                elif mode == "recycled":
-                    scale, send_matrix, basis = self._stencil_system(entry)
-                    send_block = scale[:, None] * block
-                else:
-                    send_matrix = entry.operator.matrix
-                    send_block = block
-                group_tickets = []
-                for j, (lo, hi) in enumerate(
-                    row_chunks(block.shape[1], chunks_per_group)
-                ):
-                    target = (owner + j) % workers
-                    mark = (target, key, mode)
-                    matrix = None if mark in self._worker_has else send_matrix
-                    if mode == "recycled":
-                        # The basis install must land between the
-                        # operator and the chunks: install_operator
-                        # first (basis reconstruction needs the resident
-                        # stencil), then the basis, then matrix-less
-                        # chunks.  Same-worker tickets run in order.
-                        if matrix is not None:
-                            install_tickets.append(
-                                pool.submit(
-                                    target, install_operator, key, matrix, mode
-                                )
-                            )
-                            self._worker_has.add(mark)
-                            matrix = None
-                        if basis.m and (
-                            self._worker_basis.get((target, key)) != basis.version
-                        ):
-                            install_tickets.append(
-                                pool.submit(
-                                    target,
-                                    install_basis,
-                                    key,
-                                    basis.W,
-                                    basis.version,
-                                )
-                            )
-                            self._worker_basis[(target, key)] = basis.version
-                    ticket = pool.submit(
-                        target,
-                        solve_chunk,
-                        key,
-                        matrix,
-                        mode,
-                        send_block[:, lo:hi],
-                        group_tol,
-                        max_iter,
-                        precond_name,
-                    )
-                    self._worker_has.add(mark)
-                    group_tickets.append((ticket, lo, hi))
-                tickets.append(group_tickets)
-
-            results = []
-            for bundle, group_tickets in zip(prepared, tickets):
-                key, indices, entry, _, _, block, mode, _ = bundle
-                block_solution = np.empty_like(block)
-                iterations = np.zeros(block.shape[1], dtype=np.int64)
-                factor_seconds = 0.0
-                for ticket, lo, hi in group_tickets:
-                    chunk_solution, chunk_iters, chunk_factor, fresh = pool.result(
-                        ticket
-                    )
-                    block_solution[:, lo:hi] = chunk_solution
-                    iterations[lo:hi] = chunk_iters
-                    factor_seconds = max(factor_seconds, chunk_factor)
-                    if fresh and mode == "direct":
-                        self.stats.factorizations += 1
-                    if mode in ("cg", "block_cg", "recycled"):
-                        with self._lock:
-                            self.stats.record_block_iterations(key, chunk_iters)
-                if mode in ("cg", "block_cg"):
-                    block_solution = entry.cg_scale[:, None] * block_solution
-                elif mode == "recycled":
-                    # Harvest this batch's solutions into the basis so
-                    # the *next* sharded batch (or a respawned worker)
-                    # starts deflated; cap the harvest at one sub-block
-                    # to bound the A-orthogonalization cost.
-                    _, core, basis = self._stencil_system(entry)
-                    basis.augment(
-                        block_solution[:, : self.recycle_block], core.apply
-                    )
-                    block_solution = (
-                        entry.stencil_scale[:, None] * block_solution
-                    )
-                results.append((block_solution, iterations, factor_seconds))
-            for ticket in install_tickets:
-                pool.result(ticket)
-        except WorkerCrashed as exc:
-            # Only reached when healing itself failed (restart budget
-            # exhausted or a replacement died immediately): give up on
-            # the pool, answer this batch serially, stay serial after.
-            logger.error(
-                "solve farm pool is beyond healing (%s); retrying this batch "
-                "serially and demoting the farm to the serial path",
-                exc,
-            )
-            self.close_pool()
-            self._pool_broken = True
-            self.stats.serial_fallbacks += 1
-            return None
-        elapsed = time.perf_counter() - start
-        return [
-            (
-                block_solution,
-                iterations,
-                elapsed * len(bundle[1]) / total_columns,
-                factor_seconds,
-            )
-            for bundle, (block_solution, iterations, factor_seconds) in zip(
-                prepared, results
-            )
-        ]
-
-    def pool_stats(self) -> Dict[str, object]:
-        """Worker-pool liveness/healing counters (health-probe fodder).
-
-        ``pool`` is ``None`` while no pool is running (serial farm, or
-        not yet started); ``broken`` records a restart-budget give-up.
-        """
-        pool = self._pool
-        return {
-            "pool": None if pool is None else pool.pool_stats(),
-            "broken": self._pool_broken,
-            "worker_respawns": self.stats.worker_respawns,
-            "serial_fallbacks": self.stats.serial_fallbacks,
-        }
 
     # ------------------------------------------------------------------
     def cache_info(self) -> Dict[str, int]:
@@ -1155,8 +808,6 @@ def get_default_farm() -> SolveFarm:
 def reset_default_farm() -> None:
     """Drop the shared farm (tests; or to release factorization memory)."""
     global _default_farm
-    if _default_farm is not None:
-        _default_farm.close_pool()
     _default_farm = None
 
 
@@ -1166,7 +817,6 @@ def solve_many(
     tol: Optional[float] = None,
     max_iter: Optional[int] = None,
     farm: Optional[SolveFarm] = None,
-    workers: Optional[int] = None,
     solver: Optional[str] = None,
     preconditioner: Optional[str] = None,
 ) -> List[ThermalSolution]:
@@ -1177,7 +827,6 @@ def solve_many(
         method=method,
         tol=tol,
         max_iter=max_iter,
-        workers=workers,
         solver=solver,
         preconditioner=preconditioner,
     )

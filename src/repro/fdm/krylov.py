@@ -197,12 +197,11 @@ def choose_tier(n_nodes: int, max_bytes: Optional[int]) -> str:
 # ----------------------------------------------------------------------
 @dataclass
 class StencilCore:
-    """The picklable kernel of a matrix-free operator action.
+    """The kernel of a matrix-free operator action.
 
     Holds exactly what ``y = M x`` needs — the three per-axis face
-    conductance arrays, the raw diagonal and the Dirichlet mask — so it
-    is what the sharded farm ships to worker processes (the RHS-protocol
-    extras stay parent-side on :class:`StencilOperator`).
+    conductance arrays, the raw diagonal and the Dirichlet mask (the
+    RHS-protocol extras live on :class:`StencilOperator`).
 
     The action reproduces the assembled operator exactly in exact
     arithmetic; floating-point summation order differs from CSR row
@@ -585,10 +584,6 @@ class RecycleBasis:
       ``z - W (AW)^T z`` keeps CG's search directions A-orthogonal to
       the basis, so the components the basis already resolves never
       re-enter the iteration.
-
-    ``version`` increments on every augmentation; the sharded farm uses
-    it to know which workers hold a stale copy (and to re-ship the basis
-    to a respawned worker — see ``SolveFarm._replay_worker``).
     """
 
     def __init__(self, max_vectors: int = 16):
@@ -597,7 +592,6 @@ class RecycleBasis:
         self.max_vectors = int(max_vectors)
         self.W: Optional[np.ndarray] = None
         self.AW: Optional[np.ndarray] = None
-        self.version = 0
 
     @property
     def m(self) -> int:
@@ -613,32 +607,6 @@ class RecycleBasis:
         if self.AW is not None:
             total += self.AW.nbytes
         return total
-
-    @classmethod
-    def from_vectors(cls, vectors: np.ndarray,
-                     apply_a: Callable[[np.ndarray], np.ndarray],
-                     version: int = 0) -> "RecycleBasis":
-        """Rebuild a basis from shipped A-orthonormal vectors.
-
-        The worker-side half of basis shipping: only ``W`` crosses the
-        pipe; the operator images ``AW`` are recomputed locally against
-        the resident operator (m stencil actions).
-
-        Parameters
-        ----------
-        vectors:
-            ``(n, m)`` A-orthonormal basis from the parent.
-        apply_a:
-            The scaled operator action.
-        version:
-            The parent's version counter for staleness tracking.
-        """
-        basis = cls(max_vectors=max(1, vectors.shape[1]))
-        if vectors.shape[1]:
-            basis.W = np.ascontiguousarray(vectors)
-            basis.AW = apply_a(basis.W)
-        basis.version = int(version)
-        return basis
 
     def initial_guess(self, block_rhs: np.ndarray) -> Optional[np.ndarray]:
         """Galerkin warm start ``W W^T B`` for a scaled RHS block.
@@ -708,8 +676,6 @@ class RecycleBasis:
                 self.W = np.column_stack([self.W, vector])
                 self.AW = np.column_stack([self.AW, a_vector])
             added += 1
-        if added:
-            self.version += 1
         return added
 
 

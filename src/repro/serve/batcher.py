@@ -26,10 +26,9 @@ daemon turns that refusal into an ``overloaded`` response with a
 contract — a traffic spike costs clients retries, never the daemon
 unbounded buffering.
 
-Execution happens on the single dispatcher thread (the merge dgemm can
-still thread internally via ``workers``); per-request completion is
-signalled through each request's :class:`threading.Event`, which the
-connection handler threads wait on.
+Execution happens on the single dispatcher thread; per-request
+completion is signalled through each request's :class:`threading.Event`,
+which the connection handler threads wait on.
 """
 
 from __future__ import annotations

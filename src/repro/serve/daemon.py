@@ -24,15 +24,13 @@ Operational contracts:
   precomputed before the first request lands.
 * **Clean shutdown** — SIGINT/SIGTERM (or the ``shutdown`` op) stops
   intake, drains every queued request, flushes responses, closes the
-  worker pools and exits 0.
+  service and exits 0.
 * **Serial fallback** — if a fused dispatch fails, each request is
   retried alone; one poisoned request errors alone instead of failing
-  its whole batch (and a crashed farm worker is healed in place by the
-  farm itself — respawn, operator replay, ticket replay — falling back
-  to its serial path only past the restart budget).
+  its whole batch.
 * **Health probes** — the ``health`` op is answered inline on the
   connection thread (readiness + liveness: queue depth, compute-thread
-  heartbeat, pool status, cache residency), so it answers in
+  heartbeat, cache residency), so it answers in
   milliseconds even while the compute thread is mid-batch.
 * **Watchdog** — with ``watchdog_timeout`` set, a monitor thread
   watches the compute heartbeat; a dispatch that exceeds the limit
@@ -45,9 +43,8 @@ Operational contracts:
   before any compute is spent on it.
 
 Concurrency model: one thread per connection parses and validates;
-*all* compute runs on the single batcher thread (the merge dgemm may
-still thread internally via ``workers``), so the service and its caches
-are never raced and fused results are deterministic.
+*all* compute runs on the single batcher thread, so the service and its
+caches are never raced and fused results are deterministic.
 """
 
 from __future__ import annotations
@@ -129,7 +126,7 @@ class ThermalServer:
     ----------
     service:
         An existing service to serve (the caller keeps its lifecycle);
-        default builds a private one from ``cache_dir`` / ``workers`` /
+        default builds a private one from ``cache_dir`` /
         ``memory_budget`` and closes it on shutdown.
     host / port:
         Bind address; ``port=0`` picks an ephemeral port (read it back
@@ -165,14 +162,13 @@ class ThermalServer:
         max_wait: float = 0.005,
         queue_depth: int = 128,
         memory_budget: Optional[int] = None,
-        workers: Optional[int] = None,
         cache_dir: Optional[str] = None,
         request_timeout: float = 600.0,
         watchdog_timeout: Optional[float] = None,
         solver: Optional[str] = None,
     ):
         if service is None:
-            service = ThermalService(cache_dir=cache_dir, workers=workers,
+            service = ThermalService(cache_dir=cache_dir,
                                      memory_budget=memory_budget,
                                      solver=solver)
             self._owns_service = True
@@ -347,7 +343,7 @@ class ThermalServer:
         the supervisor should restart the process).
 
         The signal handler only sets a flag — the actual drain (finish
-        queued requests, flush responses, close pools) runs on the main
+        queued requests, flush responses, close the service) runs on the main
         thread afterwards, so a Ctrl-C mid-batch still answers every
         accepted request before the process exits.
 
@@ -433,7 +429,7 @@ class ThermalServer:
                 pass
         if self._owns_service and not self._wedged.is_set():
             # With a wedged compute thread possibly still *inside* the
-            # service, tearing its caches/pools down underneath it could
+            # service, tearing its caches down underneath it could
             # block the exit path; the process is about to die anyway.
             self.service.close()
         logger.info("daemon closed (drained=%s, wedged=%s)",
@@ -935,14 +931,11 @@ class ThermalServer:
         )
         # The farm's RLock can be held by the compute thread across an
         # operator assembly; a probe must degrade, not queue behind it.
-        pool = None
         farm = self.service._farm
         farm_lock = getattr(farm, "_lock", None)
         if farm_lock is not None and farm_lock.acquire(timeout=0.005):
             try:
                 cache_bytes += int(farm.cache_stats().get("bytes") or 0)
-                if hasattr(farm, "pool_stats"):
-                    pool = farm.pool_stats()
             finally:
                 farm_lock.release()
         status = ("wedged" if wedged or stalled
@@ -954,7 +947,6 @@ class ThermalServer:
             "queue_depth": self.batcher.depth(),
             "busy_seconds": busy,
             "watchdog_timeout": self.watchdog_timeout,
-            "pool": pool,
             "cache_bytes": cache_bytes,
             "uptime_seconds": time.monotonic() - self._started_at,
         }
@@ -1003,7 +995,6 @@ def serve_main(
     max_wait: float = 0.005,
     queue_depth: int = 128,
     memory_budget: Optional[int] = None,
-    workers: Optional[int] = None,
     cache_dir: Optional[str] = None,
     watchdog_timeout: Optional[float] = None,
     solver: Optional[str] = None,
@@ -1028,7 +1019,7 @@ def serve_main(
     server = ThermalServer(
         host=host, port=port, max_batch=max_batch, max_wait=max_wait,
         queue_depth=queue_depth, memory_budget=memory_budget,
-        workers=workers, cache_dir=cache_dir,
+        cache_dir=cache_dir,
         watchdog_timeout=watchdog_timeout, solver=solver,
     )
     # Install the stop handler BEFORE announcing the port: a SIGTERM

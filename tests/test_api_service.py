@@ -204,3 +204,22 @@ class TestSweep:
         assert "power_map" in design
         assert np.array_equal(design["power_map"],
                               result.raws["power_map"][2])
+
+
+class TestAtomicRegistrySave:
+    def test_save_leaves_no_temp_files(self, tmp_path):
+        from repro.api import CheckpointRegistry, scenario_experiment_a
+
+        scenario = scenario_experiment_a(scale="test")
+        setup = scenario.compile()
+        registry = CheckpointRegistry(tmp_path)
+        path = registry.save(scenario, setup.model, meta={"final_loss": 1.0})
+        assert path.exists()
+        leftovers = [
+            p for p in tmp_path.iterdir() if ".tmp" in p.name
+        ]
+        assert leftovers == []
+        # The slot round-trips: find() returns it and load() accepts it.
+        assert registry.find(scenario) == path
+        meta = setup.model.load(path)
+        assert float(meta["final_loss"]) == 1.0

@@ -4,12 +4,8 @@ The contract under test (ISSUE 8):
 
 * :mod:`repro.faults` schedules crashes exactly — per-site rules with
   ``match``/``after``/``times`` gating, seed-deterministic probability,
-  JSON round-trip and ``REPRO_FAULTS`` propagation into spawned
-  workers — and is a single ``None`` check when disarmed;
-* an injected worker kill mid-``solve_many`` is healed in place:
-  results stay bitwise identical to serial, the farm is re-promoted to
-  the parallel path, and the respawn is visible in the counters (not
-  just the logs);
+  JSON round-trip and ``REPRO_FAULTS`` propagation into child
+  processes — and is a single ``None`` check when disarmed;
 * a training run killed (``kill -9``-style) at iteration k resumes
   from its checkpoint to final weights bitwise identical to an
   uninterrupted run; a corrupt checkpoint is quarantined, never
@@ -36,13 +32,8 @@ import pytest
 
 from repro import faults
 from repro.api import CheckpointCorrupt, ThermalService, scenario_for
-from repro.bc import ConvectionBC, NeumannBC
 from repro.core import Trainer, TrainerConfig, experiment_a
-from repro.fdm import HeatProblem, SolveFarm, operator_digest
-from repro.geometry import Face, StructuredGrid, paper_chip_a
-from repro.materials import UniformConductivity
 from repro.nn.serialize import read_payload
-from repro.parallel import PersistentPool, digest_owner
 from repro.serve import (
     MicroBatcher,
     QueuedRequest,
@@ -54,7 +45,6 @@ from repro.serve import (
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-T_AMB = 298.15
 
 
 @pytest.fixture(autouse=True)
@@ -62,19 +52,6 @@ def _always_disarm():
     """No test leaves a plan armed (or exported) behind."""
     yield
     faults.disarm()
-
-
-def _problem(grid_shape=(7, 7, 5), k=0.1, influx=2500.0, htc=500.0):
-    chip = paper_chip_a()
-    grid = StructuredGrid(chip, grid_shape)
-    return HeatProblem(
-        grid=grid,
-        conductivity=UniformConductivity(k),
-        bcs={
-            Face.TOP: NeumannBC(influx),
-            Face.BOTTOM: ConvectionBC(htc, T_AMB),
-        },
-    )
 
 
 def _tiny(iterations=5):
@@ -93,19 +70,9 @@ def _weights(setup):
     return [p.data.copy() for p in setup.model.net.parameters()]
 
 
-# Pool task functions must be module-level so spawn can import them.
-def _init_state():
-    return {"calls": 0}
-
-
-def _echo(state, value):
-    state["calls"] += 1
-    return value, os.getpid()
-
-
 def _run_child(script: str, tmp_path: Path, name: str, env_extra=None,
                **popen_kwargs):
-    """Run ``script`` as a real file (spawn re-imports __main__)."""
+    """Run ``script`` as a real file in a fresh interpreter."""
     path = tmp_path / name
     path.write_text(textwrap.dedent(script))
     env = dict(os.environ)
@@ -124,8 +91,8 @@ def _run_child(script: str, tmp_path: Path, name: str, env_extra=None,
 class TestFaultPlan:
     def test_disarmed_hit_is_noop(self):
         assert not faults.active()
-        faults.hit("pool.task", worker=0, task=1)  # no plan: no effect
-        assert faults.fired("pool.task") == 0
+        faults.hit("trainer.iteration", iteration=0)  # no plan: no effect
+        assert faults.fired("trainer.iteration") == 0
 
     def test_match_after_times_gating(self):
         plan = faults.FaultPlan(rules=[
@@ -165,8 +132,8 @@ class TestFaultPlan:
 
     def test_json_roundtrip_and_env_propagation(self):
         plan = faults.FaultPlan(seed=3, rules=[
-            faults.FaultRule(site="pool.task", action="kill",
-                             match={"worker": 1}, after=4, exit_code=99),
+            faults.FaultRule(site="trainer.iteration", action="kill",
+                             match={"iteration": 1}, after=4, exit_code=99),
         ])
         assert faults.FaultPlan.from_json(plan.to_json()) == plan
 
@@ -174,7 +141,7 @@ class TestFaultPlan:
         blob = os.environ[faults.ENV_VAR]
         faults.disarm()
         assert faults.ENV_VAR not in os.environ  # disarm unexports
-        os.environ[faults.ENV_VAR] = blob  # as a spawned worker sees it
+        os.environ[faults.ENV_VAR] = blob  # as a child process sees it
         try:
             assert faults.load_from_env()
             assert faults.active()
@@ -214,75 +181,7 @@ class TestFaultPlan:
 
 
 # ----------------------------------------------------------------------
-# Pool healing under an injected worker kill
-# ----------------------------------------------------------------------
-class TestPoolChaos:
-    def test_injected_kill_heals_and_replays(self):
-        plan = faults.FaultPlan(rules=[
-            faults.FaultRule(site="pool.task", action="kill",
-                             match={"worker": 1}, times=1),
-        ])
-        faults.arm(plan, propagate=True)
-        pool = PersistentPool(2, initializer=_init_state)
-        # Workers spawned armed; replacements must come up disarmed so
-        # the one-shot kill stays one-shot across the respawn.
-        faults.unpropagate()
-        try:
-            # Worker 1 dies *before executing* its first task; the pool
-            # respawns it and replays the lost ticket transparently.
-            ticket = pool.submit(1, _echo, 42)
-            assert pool.result(ticket, timeout=60)[0] == 42
-            stats = pool.pool_stats()
-            assert stats["respawns"] == 1
-            assert stats["alive"] == 2
-            assert pool.run_on(1, _echo, 43)[0] == 43  # still healthy
-        finally:
-            pool.close()
-
-
-# ----------------------------------------------------------------------
-# Farm: injected kill mid-solve_many -> bitwise parity, re-promotion
-# ----------------------------------------------------------------------
-class TestFarmChaos:
-    def test_injected_kill_mid_solve_bitwise_and_repromoted(self):
-        problems = [
-            _problem(influx=1000.0),
-            _problem(k=0.2, influx=1500.0),
-            _problem(influx=2000.0),
-            _problem(k=0.2, influx=2500.0),
-            _problem(influx=3000.0),
-        ]
-        serial = SolveFarm().solve_many(problems)
-        owner = digest_owner(operator_digest(problems[0]), 2)
-        plan = faults.FaultPlan(rules=[
-            faults.FaultRule(site="pool.task", action="kill",
-                             match={"worker": owner}, times=1),
-        ])
-        faults.arm(plan, propagate=True)
-        farm = SolveFarm(workers=2)
-        farm._ensure_pool(2)  # spawn armed workers before solving
-        faults.unpropagate()
-        try:
-            sharded = farm.solve_many(problems)
-            for lhs, rhs in zip(serial, sharded):
-                assert np.array_equal(lhs.temperature, rhs.temperature)
-            # The criterion is counters, not logs: exactly one respawn,
-            # zero serial fallbacks, the pool alive and still parallel.
-            assert farm.stats.worker_respawns == 1
-            assert farm.stats.serial_fallbacks == 0
-            assert not farm._pool_broken
-            stats = farm.pool_stats()
-            assert stats["pool"]["respawns"] == 1
-            assert stats["pool"]["alive"] == 2
-            again = farm.solve_many(problems)
-            assert again[0].info["workers"] == 2
-        finally:
-            faults.disarm()
-            farm.close_pool()
-
-
-# ----------------------------------------------------------------------
-# Trainer: checkpoint/resume and data-parallel healing
+# Trainer: checkpoint/resume
 # ----------------------------------------------------------------------
 class TestTrainerChaos:
     def test_interrupted_resume_is_bitwise(self, tmp_path):
@@ -316,32 +215,9 @@ class TestTrainerChaos:
         assert history.iterations == full.iterations
         assert history.total_loss == full.total_loss
 
-    def test_sharded_heal_keeps_trajectory_bitwise(self):
-        reference = experiment_a(scale="test", seed=0)
-        cfg = TrainerConfig(iterations=8, n_functions=4, log_every=2,
-                            seed=0, workers=2)
-        full = Trainer(reference.model, reference.plan, cfg).run()
-        expected = _weights(reference)
-
-        cut = experiment_a(scale="test", seed=0)
-        # after=5: worker 1 dies on its 6th task (mid-run); with only 8
-        # iterations left the respawned worker — which re-arms from the
-        # env with a fresh counter — never reaches its own 6th task, so
-        # the kill stays one-shot.
-        plan = faults.FaultPlan(rules=[
-            faults.FaultRule(site="pool.task", action="kill",
-                             match={"worker": 1}, after=5, times=1),
-        ])
-        trainer = Trainer(cut.model, cut.plan, cfg)
-        with faults.injected(plan, propagate=True):
-            history = trainer.run()
-        for lhs, rhs in zip(expected, _weights(cut)):
-            assert np.array_equal(lhs, rhs)
-        assert history.total_loss == full.total_loss
-
     def test_kill_dash_nine_then_service_resume_bitwise(self, tmp_path):
         scn = _tiny(iterations=6)
-        with ThermalService(cache_dir=tmp_path / "ref", workers=0) as svc:
+        with ThermalService(cache_dir=tmp_path / "ref") as svc:
             ref = svc.train(scn, checkpoint_every=2)
         ref_state, _ = read_payload(ref.checkpoint_path)
 
@@ -360,7 +236,7 @@ class TestTrainerChaos:
             faults.load_from_env()
             scenario = scenario_for("a", scale="test")
             scenario.training.iterations = 6
-            with ThermalService(cache_dir=sys.argv[1], workers=0) as svc:
+            with ThermalService(cache_dir=sys.argv[1]) as svc:
                 svc.train(scenario, checkpoint_every=2)
             print("FINISHED")
             """.replace("sys.argv[1]", repr(str(tmp_path / "cut"))),
@@ -374,7 +250,7 @@ class TestTrainerChaos:
 
         # Resume in-process: final weights bitwise equal the
         # uninterrupted run, and the partial slot is cleaned up.
-        with ThermalService(cache_dir=tmp_path / "cut", workers=0) as svc:
+        with ThermalService(cache_dir=tmp_path / "cut") as svc:
             resumed = svc.train(scn, resume=True, checkpoint_every=2)
         assert not resumed.from_cache
         assert not list((tmp_path / "cut").glob("*.train.npz"))
@@ -390,7 +266,7 @@ class TestTrainerChaos:
 class TestCheckpointCorruption:
     def test_corrupt_registry_hit_quarantines_and_retrains(self, tmp_path):
         scn = _tiny(iterations=6)
-        with ThermalService(cache_dir=tmp_path, workers=0) as svc:
+        with ThermalService(cache_dir=tmp_path) as svc:
             first = svc.train(scn)
             assert not first.from_cache
         ref_state, _ = read_payload(first.checkpoint_path)
@@ -400,7 +276,7 @@ class TestCheckpointCorruption:
         raw = bytearray(first.checkpoint_path.read_bytes())
         raw[len(raw) // 2] ^= 0xFF
         first.checkpoint_path.write_bytes(bytes(raw))
-        with ThermalService(cache_dir=tmp_path, workers=0) as svc:
+        with ThermalService(cache_dir=tmp_path) as svc:
             with pytest.raises(CheckpointCorrupt) as info:
                 svc.registry.load(scn, svc.session(scn).setup.model)
             assert info.value.quarantined is not None
@@ -410,7 +286,7 @@ class TestCheckpointCorruption:
 
         # A fresh service retrains the now-empty slot to weights
         # bitwise equal to the original run.
-        with ThermalService(cache_dir=tmp_path, workers=0) as svc:
+        with ThermalService(cache_dir=tmp_path) as svc:
             again = svc.train(scn)
         assert not again.from_cache
         new_state, _ = read_payload(again.checkpoint_path)
@@ -419,9 +295,9 @@ class TestCheckpointCorruption:
 
     def test_train_self_heals_a_corrupt_cache_hit(self, tmp_path, caplog):
         scn = _tiny(iterations=6)
-        with ThermalService(cache_dir=tmp_path, workers=0) as svc:
+        with ThermalService(cache_dir=tmp_path) as svc:
             svc.train(scn)
-        with ThermalService(cache_dir=tmp_path, workers=0) as svc:
+        with ThermalService(cache_dir=tmp_path) as svc:
             path = svc.registry.find(scn)
             raw = bytearray(path.read_bytes())
             raw[len(raw) // 2] ^= 0xFF
@@ -438,8 +314,7 @@ class TestCheckpointCorruption:
 class TestServeChaos:
     def test_health_answers_fast_while_compute_busy(self, tmp_path):
         scn = _tiny()
-        with ThermalServer(cache_dir=tmp_path, workers=0,
-                           max_wait=0.001,
+        with ThermalServer(cache_dir=tmp_path, max_wait=0.001,
                            watchdog_timeout=30.0) as server:
             server.warm_start([scn])
             with ThermalService(cache_dir=tmp_path) as reference:
@@ -479,8 +354,7 @@ class TestServeChaos:
 
     def test_deadline_expires_before_compute(self, tmp_path):
         scn = _tiny()
-        with ThermalServer(cache_dir=tmp_path, workers=0,
-                           max_wait=0.001) as server:
+        with ThermalServer(cache_dir=tmp_path, max_wait=0.001) as server:
             server.warm_start([scn])
             with ThermalService(cache_dir=tmp_path) as reference:
                 designs = _designs(reference, scn, 2)
@@ -506,8 +380,7 @@ class TestServeChaos:
 
     def test_watchdog_fails_wedged_dispatch_fast(self, tmp_path):
         scn = _tiny()
-        with ThermalServer(cache_dir=tmp_path, workers=0,
-                           max_wait=0.001,
+        with ThermalServer(cache_dir=tmp_path, max_wait=0.001,
                            watchdog_timeout=0.5) as server:
             server.warm_start([scn])
             with ThermalService(cache_dir=tmp_path) as reference:
@@ -536,7 +409,7 @@ class TestServeChaos:
 
     def test_client_retries_connection_drop(self, tmp_path):
         scn = _tiny()
-        with ThermalServer(cache_dir=tmp_path, workers=0) as server:
+        with ThermalServer(cache_dir=tmp_path) as server:
             server.warm_start([scn])
             with ThermalService(cache_dir=tmp_path) as reference:
                 designs = _designs(reference, scn, 2)
@@ -554,7 +427,7 @@ class TestServeChaos:
             assert np.array_equal(result["fields"], expected)
 
     def test_client_retries_shutting_down_then_surfaces(self, tmp_path):
-        with ThermalServer(cache_dir=tmp_path, workers=0) as server:
+        with ThermalServer(cache_dir=tmp_path) as server:
             # Batched ops answer shutting_down while the daemon drains
             # (the check precedes parsing, so no warm model is needed).
             server._draining.set()
@@ -618,7 +491,7 @@ from repro.serve import ThermalServer
 faults.load_from_env()
 scenario = scenario_for("a", scale="test")
 scenario.training.iterations = 5
-server = ThermalServer(cache_dir=sys.argv[1], workers=0, port=0,
+server = ThermalServer(cache_dir=sys.argv[1], port=0,
                        max_wait=0.001, watchdog_timeout=WATCHDOG)
 server.start()
 server.warm_start([scenario])

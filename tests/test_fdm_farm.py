@@ -12,6 +12,8 @@ The contract under test (ISSUE 3):
   relative imbalance.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -312,3 +314,59 @@ class TestSolverSatellites:
         assert np.array_equal(first, second)
         # Nodal sampling reproduces the nodal field.
         assert np.allclose(first, solution.temperature[:5], atol=1e-9)
+
+
+# ----------------------------------------------------------------------
+# Thread-safe session caches (serving threads share both).
+# ----------------------------------------------------------------------
+class TestThreadSafeCaches:
+    def test_trunk_cache_survives_hammering(self):
+        from repro.engine import TrunkFeatureCache
+
+        cache = TrunkFeatureCache(4)
+        errors = []
+
+        def worker(tag):
+            try:
+                rng = np.random.default_rng(tag)
+                for i in range(200):
+                    key = ("grid", int(rng.integers(0, 8)))
+                    if cache.get(key) is None:
+                        cache.put(key, np.full((3, 3), tag))
+                    cache.info()
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(t,)) for t in range(6)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        assert cache.info().entries <= 4
+
+    def test_farm_cache_concurrent_solves(self):
+        farm = SolveFarm(max_operators=2)
+        problems = [
+            _problem(k=0.05 * (1 + tag), influx=1000.0) for tag in range(4)
+        ]
+        errors = []
+
+        def worker(problem):
+            try:
+                for _ in range(5):
+                    farm.solve_many([problem])
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(p,)) for p in problems
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        assert farm.cache_info()["cached_operators"] <= 2

@@ -1,4 +1,4 @@
-"""Solver tiers (PR 9): parity, recycling, byte-budget policy, sharding.
+"""Solver tiers: parity, recycling, byte-budget policy.
 
 The contract under test:
 
@@ -10,10 +10,7 @@ The contract under test:
   is observable through ``cache_stats()["iterations"]``;
 * ``solver="auto"`` degrades down the tier ladder under a byte budget
   while explicit ``solver="lu"`` refuses up front with
-  :class:`MemoryBudgetExceeded`;
-* the sharded recycled tier ships stencils and deflation bases to
-  workers by version, and a respawned worker gets them re-shipped
-  before lost tickets replay.
+  :class:`MemoryBudgetExceeded`.
 """
 
 import numpy as np
@@ -31,7 +28,6 @@ from repro.fdm import (
 from repro.fdm.krylov import estimate_csr_bytes
 from repro.geometry import Face, StructuredGrid, paper_chip_a
 from repro.materials import UniformConductivity
-from repro.parallel.farmwork import worker_digests
 
 T_AMB = 298.15
 PARITY_K = 1e-8
@@ -169,49 +165,3 @@ class TestTierPolicy:
             SolveFarm().solve_many(_sweep((7, 7, 5)), solver="cholesky")
         with pytest.raises(ValueError):
             SolveFarm(solver="cholesky")
-
-
-# ----------------------------------------------------------------------
-# Sharded recycled tier: basis shipping and respawn re-ship
-# ----------------------------------------------------------------------
-class TestShardedRecycled:
-    def test_sharded_matches_lu(self):
-        problems = _sweep((9, 9, 7))
-        reference = SolveFarm().solve_many(problems, solver="lu")
-        farm = SolveFarm(workers=2)
-        try:
-            solutions = farm.solve_many(problems, solver="recycled")
-        finally:
-            farm.close_pool()
-        assert _max_dev(solutions, reference) <= PARITY_K
-
-    def test_worker_respawn_reships_basis(self):
-        problems = _sweep((9, 9, 7))
-        key = operator_digest(problems[0])
-        farm = SolveFarm(workers=2)
-        try:
-            farm.solve_many(problems, solver="recycled")  # basis v0 -> v1
-            farm.solve_many(problems, solver="recycled")  # ships v1, -> v2
-            resident = farm._cache[key].basis
-            assert resident is not None and resident.m > 0
-            # Kill a worker that holds the stencil; the next batch must
-            # find the replacement warm: stencil and *current* basis
-            # re-shipped before any lost ticket replays.
-            victims = [
-                w for (w, digest) in farm._worker_basis if digest == key
-            ]
-            victim = victims[0]
-            farm._pool.terminate_worker(victim)
-            farm.solve_many(problems, solver="recycled")
-            assert farm.stats.worker_respawns == 1
-            assert farm.stats.serial_fallbacks == 0
-            digests = farm._pool.run_on(victim, worker_digests)
-            assert key in digests["stencils"]
-            versions = dict(digests["bases"])
-            assert versions.get(key) == farm._cache[key].basis.version
-            # Recycling survived the crash: the last block still solves
-            # in strictly fewer iterations than the cold first block.
-            (history,) = farm.cache_stats()["iterations"].values()
-            assert history["per_block"][-1] < history["per_block"][0]
-        finally:
-            farm.close_pool()
