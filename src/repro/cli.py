@@ -272,17 +272,11 @@ def _trained(service, name: str, scale: str, checkpoint: Optional[str]):
     return scenario, service.setup(scenario)
 
 
-def _jsonable(value):
-    """Recursively convert numpy scalars/arrays for ``json.dumps``."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
+def _dumps(payload) -> str:
+    """Indented JSON of a report, numpy values included."""
+    from .serve.protocol import json_default
+
+    return json.dumps(payload, indent=2, default=json_default)
 
 
 # ----------------------------------------------------------------------
@@ -343,7 +337,7 @@ def _cmd_info(args) -> int:
         }
         if args.config:
             payload["config"] = _config_report(args.config)
-        print(json.dumps(_jsonable(payload), indent=2))
+        print(_dumps(payload))
         return 0
 
     if args.config:
@@ -568,7 +562,7 @@ def _cmd_sweep(args) -> int:
             payload["naive_designs_per_s"] = naive_rate
             payload["engine_speedup"] = result.throughput / max(naive_rate,
                                                                 1e-12)
-        print(json.dumps(_jsonable(payload), indent=2))
+        print(_dumps(payload))
         return 0
 
     print(model_summary(setup.model,
@@ -799,7 +793,7 @@ def _cmd_run(args) -> int:
     ok = bool(np.isfinite(parity)) and parity <= args.parity_tol
     report["parity_ok"] = ok
     if args.json:
-        print(json.dumps(_jsonable(report), indent=2))
+        print(_dumps(report))
     if not ok:
         print(f"PARITY FAILURE: engine disagrees with the reference "
               f"path by {parity:.3e} K (tol {args.parity_tol:g})",

@@ -25,7 +25,7 @@ import itertools
 import random
 import socket
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -197,17 +197,6 @@ class ThermalClient:
         raise TypeError("scenario must be a ThermalScenario or its to_dict()")
 
     @staticmethod
-    def _wire_designs(designs: Sequence[Dict]) -> List[Dict]:
-        wire = []
-        for design in designs:
-            wire.append({
-                name: (value.tolist() if isinstance(value, np.ndarray)
-                       else value)
-                for name, value in design.items()
-            })
-        return wire
-
-    @staticmethod
     def _restore_arrays(result: Dict) -> Dict:
         for key in _ARRAY_FIELDS:
             if key in result:
@@ -223,7 +212,7 @@ class ThermalClient:
         message: Dict = {
             "op": "predict",
             "scenario": self._scenario_dict(scenario),
-            "designs": self._wire_designs(designs),
+            "designs": list(designs),
             "return_fields": return_fields,
         }
         if grid_shape is not None:
@@ -243,7 +232,7 @@ class ThermalClient:
         message: Dict = {
             "op": "rollout",
             "scenario": self._scenario_dict(scenario),
-            "designs": self._wire_designs(designs),
+            "designs": list(designs),
             "times": [float(v) for v in times],
             "return_fields": return_fields,
         }
@@ -261,7 +250,7 @@ class ThermalClient:
         message: Dict = {
             "op": "solve",
             "scenario": self._scenario_dict(scenario),
-            "designs": self._wire_designs(designs),
+            "designs": list(designs),
             "return_fields": return_fields,
         }
         if grid_shape is not None:

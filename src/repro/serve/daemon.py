@@ -484,7 +484,15 @@ class ThermalServer:
                 except faults.ConnectionDropInjected:
                     return  # abrupt close: client sees a connection reset
                 response = self._handle_message(message)
-                conn.sendall(encode_frame(response))
+                try:
+                    frame = encode_frame(response)
+                except (TypeError, ValueError) as exc:
+                    # Fails this request alone; the connection stays open.
+                    logger.warning("unencodable response: %s", exc)
+                    frame = encode_frame(error_response(
+                        message.get("id"), "error",
+                        f"response not encodable: {exc}"))
+                conn.sendall(frame)
         except (BrokenPipeError, ConnectionResetError, OSError):
             pass  # peer went away; nothing to answer
         finally:

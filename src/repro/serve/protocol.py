@@ -7,6 +7,10 @@ so a temperature field survives the wire bitwise, which is what lets the
 daemon tests assert *bitwise* fused-vs-serial parity through a real
 socket.
 
+Arrays are encoded inside the C JSON encoder (:func:`json_default` hands
+it each ``ndarray`` as ``tolist()``), with no Python pass over a field
+first; frames are byte-identical to converting numpy values up front.
+
 Request shape::
 
     {"id": <any>, "op": "predict" | "rollout" | "solve" | "stats"
@@ -64,23 +68,25 @@ class ProtocolError(ValueError):
     """A malformed frame (oversized line, invalid JSON, non-object)."""
 
 
-def jsonable(value: Any) -> Any:
-    """Recursively convert numpy scalars/arrays for ``json.dumps``."""
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
+def json_default(value: Any) -> Any:
+    """``default`` hook: ``ndarray`` to ``tolist()``, numpy scalar to ``item()``.
+
+    Dict keys are not converted: payloads build them as ``str``.
+    """
     if isinstance(value, np.ndarray):
-        return jsonable(value.tolist())
+        return value.tolist()
     if isinstance(value, (np.floating, np.integer, np.bool_)):
         return value.item()
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    f"is not JSON serializable")
+
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=json_default)
 
 
 def encode_frame(message: Dict) -> bytes:
     """One protocol frame: compact JSON + newline, UTF-8."""
-    return (json.dumps(jsonable(message), separators=(",", ":"))
-            + "\n").encode("utf-8")
+    return (_ENCODER.encode(message) + "\n").encode("utf-8")
 
 
 def decode_frame(line: bytes) -> Dict:

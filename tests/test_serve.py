@@ -22,6 +22,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.api import ThermalService, scenario_for
 from repro.serve import (
     MicroBatcher,
@@ -33,8 +34,10 @@ from repro.serve import (
     decode_frame,
     encode_frame,
     fuse_key_for,
+    ok_response,
     read_frame,
 )
+from repro.serve.protocol import json_default
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -54,15 +57,72 @@ def _designs(service, scenario, n, seed=0):
 # ----------------------------------------------------------------------
 # Protocol
 # ----------------------------------------------------------------------
+#: floats at the edges of float64: signed zero, the smallest subnormal,
+#: the largest finite value and the non-finite ones.
+EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308,
+               float("nan"), float("inf"), float("-inf")]
+
+
+def _oracle_jsonable(value):
+    """Reference conversion: numpy values to builtins, recursively."""
+    if isinstance(value, dict):
+        return {str(k): _oracle_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_oracle_jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return _oracle_jsonable(value.tolist())
+    if isinstance(value, (np.floating, np.integer, np.bool_)):
+        return value.item()
+    return value
+
+
+def _oracle_frame(message) -> bytes:
+    return (json.dumps(_oracle_jsonable(message), separators=(",", ":"))
+            + "\n").encode()
+
+
 class TestProtocol:
     def test_roundtrip_is_bitwise_for_floats(self):
         rng = np.random.default_rng(0)
         field = rng.standard_normal((3, 17)) * 300.0
+        field[0, :len(EDGE_FLOATS)] = EDGE_FLOATS
         frame = encode_frame({"id": 1, "ok": True,
                               "result": {"fields": field}})
         decoded = decode_frame(frame.rstrip(b"\n"))
         restored = np.asarray(decoded["result"]["fields"], dtype=np.float64)
-        assert np.array_equal(restored, field)  # exact, not approx
+        # exact, not approx; NaN compares equal to NaN only here
+        assert np.array_equal(restored, field, equal_nan=True)
+        assert np.array_equal(np.signbit(restored), np.signbit(field))
+        assert np.signbit(restored[0, 0]) and restored[0, 0] == 0.0
+        assert restored[0, 1] == 5e-324
+        assert restored[0, 2] == np.finfo(np.float64).max
+
+    def test_frames_match_oracle_on_edge_cases(self):
+        edge = np.array(EDGE_FLOATS)
+        messages = [
+            {"f32": np.float32(0.1), "f64": np.float64(-0.0),
+             "i64": np.int64(-(2 ** 62)), "u8": np.uint8(255),
+             "yes": np.bool_(True), "no": np.bool_(False)},
+            {"scalar0d": np.array(2.5), "int0d": np.array(7),
+             "bool0d": np.array(True), "f32_0d": np.array(0.1, np.float32)},
+            {"tuple": (1, 2.5, (np.float64(3.0), "x")),
+             "nested": [np.arange(3), [np.eye(2)], {"k": np.ones(2, bool)}],
+             "empty": np.zeros((0, 3))},
+            {"edge": edge, "edge_list": EDGE_FLOATS,
+             "edge_f32": np.array([-0.0, 1e-45, np.finfo(np.float32).max,
+                                   np.nan, np.inf, -np.inf], np.float32),
+             "edge_scalars": [np.float64(v) for v in EDGE_FLOATS]},
+            {"id": None, "ok": True, "text": "héllo \u2603", "n": 10 ** 20,
+             "field": np.random.default_rng(1).standard_normal((4, 9))},
+        ]
+        for message in messages:
+            assert encode_frame(message) == _oracle_frame(message)
+
+    def test_default_hook_rejects_unknown_types(self):
+        with pytest.raises(TypeError, match="object"):
+            encode_frame({"result": object()})
+        with pytest.raises(TypeError, match="complex"):
+            json_default(np.complex128(1j))
 
     def test_read_frame_eof_and_unterminated(self):
         assert read_frame(io.BytesIO(b"")) is None
@@ -495,6 +555,138 @@ class TestDaemonEndToEnd:
             "status", "ready", "live", "queue_depth", "busy_seconds",
             "watchdog_timeout", "cache_bytes", "uptime_seconds",
         }
+
+    def test_live_frames_match_recursive_oracle(self, registry_dir,
+                                                family_registry):
+        """Every frame the daemon sends equals the recursive reference."""
+        scn, transient = _tiny("a"), _tiny("transient")
+        family = _serve_family()
+        member = family.holdout(0)
+        responses = []
+
+        def record(server):
+            handle = server._handle_message
+
+            def recording(message):
+                response = handle(message)
+                responses.append(response)
+                return response
+
+            server._handle_message = recording
+
+        def expect_code(code, call, *args, **kwargs):
+            with pytest.raises(ServerError) as info:
+                call(*args, **kwargs)
+            assert info.value.code == code
+
+        with ThermalService(cache_dir=registry_dir) as reference:
+            designs = _designs(reference, scn, 2, seed=11)
+            transient_designs = _designs(reference, transient, 2, seed=12)
+        with ThermalServer(cache_dir=registry_dir, max_wait=0.0,
+                           queue_depth=1) as server:
+            record(server)
+            with ThermalClient(port=server.port, max_retries=0) as client:
+                client.predict(scn, designs)
+                client.predict(scn, designs, return_fields=False)
+                client.predict(transient, transient_designs, t=0.0)
+                client.rollout(transient, transient_designs,
+                               times=[0.0, transient.transient.horizon])
+                client.solve(scn, designs[:1])
+                client.stats()
+                client.health()
+                client.ping()
+                expect_code("bad_request", client._call, {"op": "warp"})
+
+                def boom(group):
+                    raise RuntimeError("injected runner failure")
+
+                run_solve = server._runners["solve"]
+                server._runners["solve"] = boom
+                expect_code("error", client.solve, scn, designs[:1])
+                server._runners["solve"] = run_solve
+
+                # A slow dispatch holds the compute thread: the next
+                # request waits in the one-slot queue past its deadline
+                # and the one after it finds the queue full.
+                faults.arm(faults.FaultPlan(rules=[
+                    faults.FaultRule(site="serve.compute", action="delay",
+                                     delay_seconds=1.0,
+                                     match={"op": "predict"}, times=1),
+                ]))
+                try:
+                    late = {}
+
+                    def send(**kwargs):
+                        with ThermalClient(port=server.port,
+                                           max_retries=0) as other:
+                            try:
+                                other.predict(scn, designs, **kwargs)
+                            except ServerError as exc:
+                                late["code"] = exc.code
+
+                    def wait_until(condition):
+                        deadline = time.monotonic() + 30
+                        while not condition():
+                            assert time.monotonic() < deadline
+                            time.sleep(0.01)
+
+                    blocker = threading.Thread(target=send)
+                    blocker.start()
+                    wait_until(lambda: server.batcher.busy_seconds() > 0)
+                    waiter = threading.Thread(target=send,
+                                              kwargs={"timeout_ms": 50})
+                    waiter.start()
+                    wait_until(lambda: server.batcher.depth() == 1)
+                    expect_code("overloaded", client.predict, scn, designs)
+                    blocker.join(30.0)
+                    waiter.join(30.0)
+                    assert not (blocker.is_alive() or waiter.is_alive())
+                    assert late == {"code": "deadline_exceeded"}
+                finally:
+                    faults.disarm()
+
+                server._draining.set()
+                expect_code("shutting_down", client.predict, scn, designs)
+
+        with ThermalService(cache_dir=family_registry) as reference:
+            member_designs = _designs(reference, member, 2, seed=13)
+        with ThermalServer(cache_dir=family_registry, max_wait=0.0) as server:
+            record(server)
+            with ThermalClient(port=server.port) as client:
+                assert "family" in client.predict(member, member_designs)
+
+        codes = {r["error"]["code"] for r in responses if not r["ok"]}
+        assert codes == {"bad_request", "error", "overloaded",
+                         "deadline_exceeded", "shutting_down"}
+        assert len(responses) == 15
+        for response in responses:
+            assert encode_frame(response) == _oracle_frame(response)
+
+    def test_unencodable_result_answers_error(self, registry_dir):
+        """A result the wire cannot carry fails alone; the socket lives."""
+        scn = _tiny("a")
+        with ThermalService(cache_dir=registry_dir) as reference:
+            designs = _designs(reference, scn, 1, seed=14)
+            expected = reference.predict(scn, designs).fields
+        with ThermalServer(cache_dir=registry_dir, max_wait=0.0) as server:
+            run_predict = server._runners["predict"]
+
+            def poisoned(group):
+                for request in group:
+                    request.resolve(ok_response(request.request_id,
+                                                {"opaque": object()}))
+
+            server._runners["predict"] = poisoned
+            with ThermalClient(port=server.port, max_retries=0) as client:
+                with pytest.raises(ServerError) as info:
+                    client.predict(scn, designs)
+                assert info.value.code == "error"
+                assert "object" in str(info.value)
+                sock = client._sock
+                server._runners["predict"] = run_predict
+                result = client.predict(scn, designs)
+                assert client._sock is sock  # same connection, no reconnect
+            assert np.array_equal(result["fields"], expected)
 
 
 def _designs_inline(scenario):
