@@ -214,6 +214,22 @@ def _face_digest(hasher, face: Face, kind: str, htc=None) -> None:
         )
 
 
+def _digest(problem: HeatProblem, with_htc: bool) -> str:
+    grid = problem.grid
+    hasher = hashlib.sha256()
+    _grid_digest(hasher, grid, problem.conductivity(grid.points()))
+    for face in Face:
+        bc = problem.bc_for(face)
+        kind = _bc_kind(bc)
+        htc = (
+            bc.htc_values(grid.face_points(face))
+            if with_htc and kind == "convection"
+            else None
+        )
+        _face_digest(hasher, face, kind, htc)
+    return hasher.hexdigest()
+
+
 def operator_digest(problem: HeatProblem) -> str:
     """Content key of the operator half of ``problem``.
 
@@ -223,17 +239,17 @@ def operator_digest(problem: HeatProblem) -> str:
     Neumann influx (including adiabatic vs non-zero flux), ambient
     temperatures and Dirichlet *values* — is deliberately excluded.
     """
-    grid = problem.grid
-    hasher = hashlib.sha256()
-    _grid_digest(hasher, grid, problem.conductivity(grid.points()))
-    for face in Face:
-        bc = problem.bc_for(face)
-        kind = _bc_kind(bc)
-        htc = (
-            bc.htc_values(grid.face_points(face)) if kind == "convection" else None
-        )
-        _face_digest(hasher, face, kind, htc)
-    return hasher.hexdigest()
+    return _digest(problem, with_htc=True)
+
+
+def structure_digest(problem: HeatProblem) -> str:
+    """:func:`operator_digest` with the HTC values left out.
+
+    HTC enters the matrix only through the convective diagonal, so two
+    problems with equal structure digests (same grid, nodal conductivity
+    and BC kind per face) assemble matrices ``A_0`` and ``A_0 + diag(d)``.
+    """
+    return _digest(problem, with_htc=False)
 
 
 def assemble_operator(problem: HeatProblem, key: Optional[str] = None) -> OperatorPart:

@@ -18,6 +18,9 @@ The farm amortises the expensive half:
   them into one ``(n, K)`` block, and runs a *single* SuperLU triangular
   solve for the whole group — the per-design cost collapses to one RHS
   assembly plus one back-substitution;
+* direct groups that differ only in HTC share one factorization: the
+  siblings of a pivot are solved by CG preconditioned with its LU
+  (:func:`_htc_pivots`, :func:`_sibling_cg`);
 * ``method="cg"`` switches to a block conjugate-gradient path (Jacobi
   symmetric scaling, vectorised over the K right-hand sides) for the
   mesh-scaling regime where factorization memory is the constraint;
@@ -31,12 +34,15 @@ The farm amortises the expensive half:
   across blocks and repeat sweeps, and ``"auto"`` picks per operator
   from the byte budget (:func:`~repro.fdm.krylov.choose_tier`) — grids
   whose LU fill cannot fit degrade to the iterative tiers instead of
-  failing.  ``solver=None`` (the default) leaves the legacy ``method``
-  paths bitwise untouched.
+  failing.  ``solver=None`` (the default) keeps the legacy ``method``
+  paths.
 
-Numerics are unchanged: every solution carries the same
-:class:`~repro.fdm.solver.EnergyReport` audit as the per-design path, and
-the test-suite pins cache-hit solves bitwise against cold-cache solves.
+Every solution carries the same :class:`~repro.fdm.solver.EnergyReport`
+audit as the per-design path.  A call with one operator digest is
+bitwise equal to a per-problem solve through the farm, and a cache-hit
+solve bitwise equal to a cold one (both pinned by tests).  HTC siblings
+agree with :func:`~repro.fdm.solver.solve_steady` to LU accuracy, not
+bitwise: see ``docs/solvers.md``, "Operators that differ only in HTC".
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ from .assembly import (
     assemble_rhs,
     compose_system,
     operator_digest,
+    structure_digest,
 )
 from .krylov import (
     PRECONDITIONERS,
@@ -197,6 +204,73 @@ class _CachedOperator:
         return total
 
 
+#: HTC-sibling solves (see :func:`_sibling_cg`): kelvin-space stop and cap.
+SIBLING_TOL = 1e-14
+SIBLING_MAX_ITER = 10
+
+
+def _sibling_cg(
+    matrix: sp.csr_matrix, lu: spla.SuperLU, block_rhs: np.ndarray
+) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """Block CG on ``matrix`` preconditioned by an HTC sibling's exact LU.
+
+    ``matrix`` differs from the factorized operator only on its diagonal,
+    so ``x0 = lu.solve(b)`` starts close.  A column freezes once the next
+    correction is small in kelvin, ``max|lu.solve(r)| <= SIBLING_TOL *
+    max|x|``.  Returns ``(solutions, iterations_per_column)``, with None
+    solutions when a column still moves after ``SIBLING_MAX_ITER`` steps.
+    """
+    x = lu.solve(block_rhs)
+    r = block_rhs - matrix @ x
+    z = lu.solve(r)
+    p = z.copy()
+    rz = np.einsum("ij,ij->j", r, z)
+    iterations = np.zeros(block_rhs.shape[1], dtype=np.int64)
+    while True:
+        active = np.abs(z).max(axis=0) > SIBLING_TOL * np.abs(x).max(axis=0)
+        if not active.any():
+            return x, iterations
+        if iterations.max() >= SIBLING_MAX_ITER:
+            return None, iterations
+        ap = matrix @ p
+        p_ap = np.einsum("ij,ij->j", p, ap)
+        alpha = np.where(active, rz / np.where(p_ap > 0, p_ap, 1.0), 0.0)
+        x += alpha * p
+        r -= alpha * ap
+        z = lu.solve(r)
+        rz_new = np.einsum("ij,ij->j", r, z)
+        p = z + rz_new / np.where(rz > 0, rz, 1.0) * p
+        rz = rz_new
+        iterations += active
+
+
+def _htc_pivots(
+    firsts: Dict[str, HeatProblem], entries: Dict[str, _CachedOperator]
+) -> Dict[str, str]:
+    """Map each LU-less direct group to the HTC sibling whose LU it borrows.
+
+    ``firsts`` holds one problem per direct group.  Groups with equal
+    :func:`~repro.fdm.assembly.structure_digest` differ only in HTC; their
+    pivot is one holding a resident LU if any, then the one with the least
+    convection conductance (siblings mostly add to its diagonal, which
+    keeps the kelvin stop conservative), independent of input order.
+    """
+    if len(firsts) < 2:
+        return {}
+    families: Dict[str, List[str]] = {}
+    for key, problem in firsts.items():
+        families.setdefault(structure_digest(problem), []).append(key)
+    pivots: Dict[str, str] = {}
+    for members in families.values():
+        pivot = min(members, key=lambda k: (
+            entries[k].lu is None, entries[k].operator.convection_conductance.sum()
+        ))
+        for key in members:
+            if key != pivot and entries[key].lu is None:
+                pivots[key] = pivot
+    return pivots
+
+
 def _block_cg(
     matrix: sp.csr_matrix,
     block_rhs: np.ndarray,
@@ -266,8 +340,8 @@ class SolveFarm:
         thrash).
     solver:
         Default solver tier for :meth:`solve_many` (per-call
-        overridable): ``None`` keeps the legacy ``method`` semantics
-        bitwise; ``"auto"`` / ``"lu"`` / ``"block_cg"`` / ``"recycled"``
+        overridable): ``None`` keeps the legacy ``method`` semantics;
+        ``"auto"`` / ``"lu"`` / ``"block_cg"`` / ``"recycled"``
         engage the tier policy (see the module docstring and
         ``docs/solvers.md``).
     preconditioner:
@@ -455,8 +529,8 @@ class SolveFarm:
         """Solve mode for one operator group.
 
         ``solver=None`` passes the legacy ``method`` through untouched
-        (``"direct"`` / ``"cg"``, bitwise-stable paths).  Otherwise the
-        tier policy applies: ``"lu"`` maps to the direct path but
+        (``"direct"`` / ``"cg"``).  Otherwise the tier policy applies:
+        ``"lu"`` maps to the direct path but
         *refuses up front* (:class:`~repro.fdm.krylov.MemoryBudgetExceeded`)
         when its estimated CSR + fill footprint cannot fit the farm's
         byte budget; ``"auto"`` degrades through the tiers instead of
@@ -515,7 +589,10 @@ class SolveFarm:
         sides, and solves them as a single ``(n, K)`` block — one SuperLU
         back-substitution (``method="direct"``) or one vectorised block-CG
         run (``method="cg"``).  Solutions come back in input order, each
-        with its own energy audit and diagnostics.
+        with its own energy audit and diagnostics.  ``info["factor_time"]``
+        is what this call paid to factorize the group (0 on a cache hit or
+        for an HTC sibling, whose ``info["preconditioned_by"]`` names the
+        pivot's digest).
 
         ``solver`` (default: the farm's constructor knob) engages the
         tier policy instead of ``method``: ``"lu"`` (exact direct with
@@ -592,16 +669,33 @@ class SolveFarm:
             key: 0 if entries[key].basis is None else entries[key].basis.m
             for key in groups
         }
+        had_lu = {key: entries[key].lu is not None for key in groups}
+        pivots = _htc_pivots(
+            {k: problems[groups[k][0]] for k in groups if modes[k] == "direct"},
+            entries,
+        )
 
         for key, indices, entry, rhs_parts, rhs_seconds, block, mode, group_tol in (
             prepared
         ):
             k_block = len(indices)
+            pivot = pivots.get(key)
             start = time.perf_counter()
             if mode == "direct":
-                lu = self._factorization(entry)
-                block_solution = lu.solve(block)
-                iterations = np.zeros(k_block, dtype=np.int64)
+                block_solution = None
+                if pivot is not None:
+                    block_solution, iterations = _sibling_cg(
+                        entry.operator.matrix,
+                        self._factorization(entries[pivot]),
+                        block,
+                    )
+                    with self._lock:
+                        self.stats.record_block_iterations(key, iterations)
+                if block_solution is None:  # no pivot, or the cap fired
+                    pivot = None
+                    lu = self._factorization(entry)
+                    block_solution = lu.solve(block)
+                    iterations = np.zeros(k_block, dtype=np.int64)
             elif mode == "cg":
                 scale, scaled_matrix = self._cg_system(entry)
                 scaled_block = scale[:, None] * block
@@ -660,10 +754,11 @@ class SolveFarm:
                 block_solution,
                 iterations,
                 solve_seconds,
-                entry.factor_seconds,
+                0.0 if had_lu[key] else entry.factor_seconds,
                 solver_requested=solver,
                 precond_name=precond_name,
                 deflation_used=used_dims[key],
+                preconditioned_by=pivot,
             )
         return solutions  # type: ignore[return-value]
 
@@ -691,6 +786,7 @@ class SolveFarm:
         solver_requested: Optional[str] = None,
         precond_name: str = "jacobi",
         deflation_used: int = 0,
+        preconditioned_by: Optional[str] = None,
     ) -> None:
         """Per-column postprocessing of one solved digest group.
 
@@ -739,6 +835,8 @@ class SolveFarm:
                 "linear_residual": float(np.linalg.norm(residual)),
                 "energy": report,
             }
+            if preconditioned_by is not None:
+                info["preconditioned_by"] = preconditioned_by[:16]
             if solver_requested is not None:
                 info["solver"] = "lu" if mode == "direct" else mode
                 if mode == "block_cg":

@@ -9,7 +9,10 @@ The contract under test (ISSUE 3):
 * cache-hit solutions are bitwise identical to cold-cache solutions, and
   block multi-RHS solves are bitwise identical to one-at-a-time solves;
 * every farm-solved problem keeps the discrete energy balance to <= 1e-8
-  relative imbalance.
+  relative imbalance;
+* operators that differ only in HTC (equal structure digest) share one
+  factorization: siblings are solved to LU accuracy by LU-preconditioned
+  CG, and fall back to their own LU past the iteration cap.
 """
 
 import threading
@@ -28,6 +31,7 @@ from repro.fdm import (
     reset_default_farm,
     solve_many,
     solve_steady,
+    structure_digest,
 )
 from repro.geometry import Face, StructuredGrid, paper_chip_a
 from repro.materials import UniformConductivity
@@ -115,6 +119,13 @@ class TestOperatorDigest:
         """Adiabatic vs non-zero Neumann leave the matrix identical."""
         adiabatic = _problem(top_bc=AdiabaticBC())
         assert operator_digest(adiabatic) == operator_digest(_problem())
+
+    def test_structure_digest_ignores_only_htc_values(self):
+        base = structure_digest(_problem())
+        assert structure_digest(_problem(htc=750.0, influx=10.0)) == base
+        assert structure_digest(_problem(k=0.2)) != base
+        assert structure_digest(_problem(bottom_bc=DirichletBC(T_AMB))) != base
+        assert structure_digest(_problem(grid_shape=(9, 9, 5))) != base
 
 
 # ----------------------------------------------------------------------
@@ -370,3 +381,118 @@ class TestThreadSafeCaches:
             thread.join()
         assert not errors
         assert farm.cache_info()["cached_operators"] <= 2
+
+
+# ----------------------------------------------------------------------
+# Operators that differ only in HTC share one factorization.
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def htc_problem():
+    """Experiment-B designs (top/bottom HTC inputs) on its eval grid."""
+    from repro.api import scenario_for
+
+    setup = scenario_for("b", scale="test").compile()
+
+    def build(top, bottom):
+        design = {"htc_top": top, "htc_bottom": bottom}
+        return setup.model.concrete_config(design).heat_problem(setup.eval_grid)
+
+    return build
+
+
+def _assert_matches_solve_steady(problems, solutions, atol):
+    for problem, solution in zip(problems, solutions):
+        reference = solve_steady(problem).temperature
+        assert np.abs(solution.temperature - reference).max() <= atol(reference)
+        assert abs(solution.info["energy"].relative_imbalance) <= 1e-8
+
+
+class TestSharedStructure:
+    def test_htc_sweep_factorizes_once(self, htc_problem):
+        rng = np.random.default_rng(5)
+        cases = rng.uniform(333.33, 1000.0, size=(8, 2))
+        problems = [htc_problem(top, bottom) for top, bottom in cases]
+        farm = SolveFarm()
+        solutions = farm.solve_many(problems)
+        assert farm.stats.factorizations == 1
+        _assert_matches_solve_steady(problems, solutions, lambda ref: 1e-10)
+
+        pivots = [s for s in solutions if "preconditioned_by" not in s.info]
+        assert len(pivots) == 1
+        pivot_key = pivots[0].info["operator_key"]
+        assert pivots[0].info["factor_time"] > 0
+        iterations = farm.cache_stats()["iterations"]
+        for solution in solutions:
+            if solution is pivots[0]:
+                continue
+            assert solution.info["preconditioned_by"] == pivot_key
+            assert solution.info["factor_time"] == 0.0
+            assert 0 < solution.info["iterations"] <= 10
+            assert iterations[solution.info["operator_key"]]["per_block"] == [
+                solution.info["iterations"]
+            ]
+
+        reversed_solutions = SolveFarm().solve_many(problems[::-1])[::-1]
+        for forward, backward in zip(solutions, reversed_solutions):
+            assert (
+                np.abs(forward.temperature - backward.temperature).max() <= 1e-10
+            )
+
+    def test_resident_lu_is_preferred_as_pivot(self, htc_problem):
+        farm = SolveFarm()
+        resident = farm.solve(htc_problem(1000.0, 1000.0))
+        problems = [htc_problem(400.0, 500.0), htc_problem(1000.0, 1000.0)]
+        solutions = farm.solve_many(problems)
+        assert farm.stats.factorizations == 1
+        assert solutions[1].info["factor_time"] == 0.0
+        assert np.array_equal(solutions[1].temperature, resident.temperature)
+        assert solutions[0].info["preconditioned_by"] == (
+            resident.info["operator_key"]
+        )
+        _assert_matches_solve_steady(problems, solutions, lambda ref: 1e-10)
+
+    def test_extreme_spread_hits_the_cap_and_refactorizes(self, htc_problem):
+        cases = [(1.0, 1.0), (1e5, 1e5), (10.0, 1e4)]
+        problems = [htc_problem(top, bottom) for top, bottom in cases]
+        farm = SolveFarm()
+        solutions = farm.solve_many(problems)
+        assert farm.stats.factorizations > 1
+        _assert_matches_solve_steady(
+            problems, solutions, lambda ref: 1e-11 * ref.max()
+        )
+
+    def test_resident_high_htc_pivot_keeps_siblings_accurate(self, htc_problem):
+        # The resident pivot has the largest HTC, so every sibling
+        # subtracts from its diagonal: the one-sided case for the stop.
+        farm = SolveFarm()
+        farm.solve(htc_problem(1e5, 1e5))
+        cases = [(1.0, 1.0), (10.0, 1e4), (1e5, 1e5)]
+        problems = [htc_problem(top, bottom) for top, bottom in cases]
+        solutions = farm.solve_many(problems)
+        assert farm.stats.factorizations == 1
+        assert "preconditioned_by" in solutions[0].info
+        _assert_matches_solve_steady(
+            problems, solutions, lambda ref: 1e-11 * ref.max()
+        )
+
+    def test_conductivity_or_bc_kind_change_never_shares_a_pivot(self):
+        problems = [
+            _problem(htc=500.0),
+            _problem(htc=750.0, k=0.2),
+            _problem(htc=900.0, top_bc=ConvectionBC(100.0, T_AMB)),
+            _problem(bottom_bc=DirichletBC(T_AMB)),
+        ]
+        farm = SolveFarm()
+        solutions = farm.solve_many(problems)
+        assert farm.stats.factorizations == len(problems)
+        assert all("preconditioned_by" not in s.info for s in solutions)
+
+    def test_single_digest_call_skips_the_structure_digest(self, monkeypatch):
+        def forbidden(problem):
+            raise AssertionError("structure_digest on a single-digest call")
+
+        monkeypatch.setattr("repro.fdm.farm.structure_digest", forbidden)
+        farm = SolveFarm()
+        farm.solve_many([_problem(influx=100.0 * (i + 1)) for i in range(3)])
+        farm.solve(_problem(htc=750.0))
+        assert farm.stats.factorizations == 2
