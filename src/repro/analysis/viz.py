@@ -26,7 +26,9 @@ def ascii_heatmap(
     """Render a 2-D array as an ASCII shade map (row 0 at the top).
 
     Values map linearly onto ten shade characters; a constant field renders
-    as mid-grey.  Arrays wider than ``max_width`` are decimated.
+    as mid-grey.  A span within ``1e-9`` of the values' magnitude counts as
+    constant, so solver round-off never draws as structure.  Arrays wider
+    than ``max_width`` are decimated.
     """
     field = np.asarray(field, dtype=np.float64)
     if field.ndim != 2:
@@ -35,7 +37,7 @@ def ascii_heatmap(
     view = field[::step, ::step]
     lo = vmin if vmin is not None else float(view.min())
     hi = vmax if vmax is not None else float(view.max())
-    if hi <= lo:
+    if hi - lo <= 1e-9 * max(abs(lo), abs(hi)):
         normalized = np.full_like(view, 0.5)
     else:
         normalized = np.clip((view - lo) / (hi - lo), 0.0, 1.0)

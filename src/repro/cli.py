@@ -45,10 +45,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--solver", choices=["auto", "lu", "block_cg", "recycled"],
         default=None,
-        help="FDM solver tier for reference solves (default: per-grid "
-             "legacy behaviour). 'auto' picks by operator size and memory "
-             "budget; see docs/solvers.md. Give it before the subcommand: "
-             "repro --solver auto solve ...",
+        help="FDM solver tier for reference solves (default: exact LU, "
+             "the same answers as 'lu'; a memory budget only evicts). "
+             "'lu' refuses operators over the budget, 'auto' picks by "
+             "operator size and memory budget; see docs/solvers.md. Give "
+             "it before the subcommand: repro --solver auto solve ...",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 

@@ -20,22 +20,18 @@ The farm amortises the expensive half:
   assembly plus one back-substitution;
 * direct groups that differ only in HTC share one factorization: the
   siblings of a pivot are solved by CG preconditioned with its LU
-  (:func:`_htc_pivots`, :func:`_sibling_cg`);
-* ``method="cg"`` switches to a block conjugate-gradient path (Jacobi
-  symmetric scaling, vectorised over the K right-hand sides) for the
-  mesh-scaling regime where factorization memory is the constraint;
-* ``solver=`` (constructor knob or per-call) selects a *tier* from
-  :mod:`repro.fdm.krylov` instead of the legacy ``method`` pair:
-  ``"lu"`` is the exact direct path with an up-front byte-budget
-  refusal (:class:`~repro.fdm.krylov.MemoryBudgetExceeded`),
-  ``"block_cg"`` is CSR-backed preconditioned block CG, ``"recycled"``
-  is matrix-free deflated block CG whose
-  :class:`~repro.fdm.krylov.RecycleBasis` carries solved subspaces
-  across blocks and repeat sweeps, and ``"auto"`` picks per operator
-  from the byte budget (:func:`~repro.fdm.krylov.choose_tier`) — grids
-  whose LU fill cannot fit degrade to the iterative tiers instead of
-  failing.  ``solver=None`` (the default) keeps the legacy ``method``
-  paths.
+  (:func:`_htc_pivots`, :func:`_sibling_cg`).
+
+``solver=`` (constructor default, per-call override) is the one solve
+knob.  ``None`` (the default) and ``"lu"`` run the exact direct path
+above; ``"lu"`` adds an up-front byte-budget refusal
+(:class:`~repro.fdm.krylov.MemoryBudgetExceeded`), while under ``None``
+a byte budget only drives eviction.  ``"block_cg"`` is CSR-backed
+Jacobi-scaled block CG, ``"recycled"`` is matrix-free deflated block CG
+whose :class:`~repro.fdm.krylov.RecycleBasis` carries solved subspaces
+across blocks and repeat sweeps, and ``"auto"`` picks per operator from
+the byte budget (:func:`~repro.fdm.krylov.choose_tier`) — grids whose LU
+fill cannot fit degrade to the iterative tiers instead of failing.
 
 Every solution carries the same :class:`~repro.fdm.solver.EnergyReport`
 audit as the per-design path.  A call with one operator digest is
@@ -68,7 +64,6 @@ from .assembly import (
     structure_digest,
 )
 from .krylov import (
-    PRECONDITIONERS,
     TIERS,
     MemoryBudgetExceeded,
     RecycleBasis,
@@ -79,7 +74,6 @@ from .krylov import (
     choose_tier,
     estimate_csr_bytes,
     estimate_lu_bytes,
-    ssor_preconditioner,
     stencil_energy_report,
 )
 from .solver import ThermalSolution, energy_report
@@ -90,8 +84,8 @@ class FarmStats:
     """Counters of what the farm actually did (for tests and CLIs).
 
     Besides the scalar counters, ``iterations_by_digest`` accumulates
-    the per-block iteration counts of every iterative solve (legacy
-    ``method="cg"`` and the ``block_cg`` / ``recycled`` tiers), keyed by
+    the per-block iteration counts of every iterative solve (the
+    ``block_cg`` / ``recycled`` tiers and HTC siblings), keyed by
     the 16-char digest prefix — one entry per solved block, in solve
     order, so recycling's iteration drop across a digest group is
     directly observable (see :meth:`SolveFarm.cache_stats`).
@@ -143,7 +137,7 @@ def _sparse_nbytes(matrix) -> int:
 class _CachedOperator:
     """One LRU slot: an operator in whichever representations were built.
 
-    ``operator`` (CSR + lazily-built SuperLU / scaled-CG system) and
+    ``operator`` (CSR + lazily-built SuperLU / scaled CG system) and
     ``stencil`` (matrix-free, with its scaled core, Jacobi scale and
     recycle basis) are both optional: a slot populated only through the
     ``recycled`` tier never materializes a sparse matrix at all, which
@@ -155,12 +149,9 @@ class _CachedOperator:
     lu: Optional[spla.SuperLU] = None
     assembly_seconds: float = 0.0
     factor_seconds: float = 0.0
-    # Jacobi-scaled system for the CG / block_cg paths, built on first use.
+    # Jacobi-scaled system for the block_cg tier, built on first use.
     cg_scale: Optional[np.ndarray] = None
     cg_matrix: Optional[sp.csr_matrix] = None
-    # SSOR preconditioner over cg_matrix (block_cg tier, opt-in).
-    ssor_apply: Optional[object] = None
-    ssor_nbytes: int = 0
     # Matrix-free half (recycled tier).
     stencil: Optional[StencilOperator] = None
     stencil_scale: Optional[np.ndarray] = None
@@ -192,7 +183,6 @@ class _CachedOperator:
             total += _sparse_nbytes(self.cg_matrix)
         if self.cg_scale is not None:
             total += self.cg_scale.nbytes
-        total += self.ssor_nbytes
         if self.stencil is not None:
             total += self.stencil.nbytes
         if self.scaled_core is not None:
@@ -207,6 +197,17 @@ class _CachedOperator:
 #: HTC-sibling solves (see :func:`_sibling_cg`): kelvin-space stop and cap.
 SIBLING_TOL = 1e-14
 SIBLING_MAX_ITER = 10
+
+#: Per-column relative residual stop of the ``block_cg`` / ``recycled``
+#: tiers (measured parity vs LU at this tolerance is ~1e-10 K).
+TIER_TOL = 1e-12
+
+#: The ``recycled`` tier solves a digest group in sub-blocks of
+#: ``RECYCLE_BLOCK`` columns, harvesting up to ``RECYCLE_VECTORS``
+#: deflation vectors from earlier sub-blocks into the group's
+#: :class:`~repro.fdm.krylov.RecycleBasis`.
+RECYCLE_BLOCK = 8
+RECYCLE_VECTORS = 16
 
 
 def _sibling_cg(
@@ -244,6 +245,14 @@ def _sibling_cg(
         iterations += active
 
 
+def _check_solver(solver: Optional[str]) -> None:
+    if solver is not None and solver != "auto" and solver not in TIERS:
+        raise ValueError(
+            f"unknown solver {solver!r}; use None, 'auto', 'lu', "
+            "'block_cg' or 'recycled'"
+        )
+
+
 def _htc_pivots(
     firsts: Dict[str, HeatProblem], entries: Dict[str, _CachedOperator]
 ) -> Dict[str, str]:
@@ -271,55 +280,6 @@ def _htc_pivots(
     return pivots
 
 
-def _block_cg(
-    matrix: sp.csr_matrix,
-    block_rhs: np.ndarray,
-    tol: float,
-    max_iter: Optional[int],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorised multi-RHS conjugate gradients on an SPD matrix.
-
-    Runs K independent CG recurrences in lock-step so every iteration is
-    one sparse matrix × K-column product (the amortisation win: SpMV on a
-    multivector reuses the matrix traversal).  Columns converge
-    individually against ``tol * ||b_j||``; converged columns are frozen.
-
-    Returns ``(solutions, iterations_per_column)``.
-    """
-    n, k = block_rhs.shape
-    max_iter = 10 * n if max_iter is None else int(max_iter)
-    x = np.zeros((n, k))
-    r = block_rhs.copy()
-    p = r.copy()
-    rs = np.einsum("ij,ij->j", r, r)
-    b_norm = np.sqrt(np.einsum("ij,ij->j", block_rhs, block_rhs))
-    target = tol * np.where(b_norm > 0, b_norm, 1.0)
-    iterations = np.zeros(k, dtype=np.int64)
-    active = np.sqrt(rs) > target
-    it = 0
-    while active.any() and it < max_iter:
-        ap = matrix @ p
-        p_ap = np.einsum("ij,ij->j", p, ap)
-        safe = np.where(p_ap > 0, p_ap, 1.0)
-        alpha = np.where(active, rs / safe, 0.0)
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = np.einsum("ij,ij->j", r, r)
-        it += 1
-        newly_done = active & (np.sqrt(rs_new) <= target)
-        iterations[newly_done] = it
-        active = active & ~newly_done
-        beta = np.where(active, rs_new / np.where(rs > 0, rs, 1.0), 0.0)
-        p = r + beta * p
-        rs = rs_new
-    if active.any():
-        raise RuntimeError(
-            f"block CG: {int(active.sum())}/{k} right-hand sides failed to "
-            f"converge within {max_iter} iterations"
-        )
-    return x, iterations
-
-
 class SolveFarm:
     """Shared-operator steady solver with cached factorizations.
 
@@ -339,21 +299,11 @@ class SolveFarm:
         survives (evicting the operator a solve needs right now would
         thrash).
     solver:
-        Default solver tier for :meth:`solve_many` (per-call
-        overridable): ``None`` keeps the legacy ``method`` semantics;
-        ``"auto"`` / ``"lu"`` / ``"block_cg"`` / ``"recycled"``
-        engage the tier policy (see the module docstring and
+        Default solver for :meth:`solve_many` (per-call overridable):
+        ``None`` (exact LU, the budget only evicts), ``"lu"`` (exact LU,
+        refused up front over the budget), ``"block_cg"``,
+        ``"recycled"`` or ``"auto"`` (see the module docstring and
         ``docs/solvers.md``).
-    preconditioner:
-        Extra preconditioner for the ``block_cg`` tier: ``"jacobi"``
-        (symmetric diagonal scaling only — the measured best default) or
-        ``"ssor"`` (symmetric Gauss-Seidel on top of the scaling).  The
-        matrix-free ``recycled`` tier always uses plain Jacobi scaling.
-    recycle_block / recycle_vectors:
-        The ``recycled`` tier solves a digest group in sub-blocks of
-        ``recycle_block`` columns, harvesting up to ``recycle_vectors``
-        deflation vectors from earlier sub-blocks into the group's
-        :class:`~repro.fdm.krylov.RecycleBasis`.
     """
 
     def __init__(
@@ -361,32 +311,15 @@ class SolveFarm:
         max_operators: int = 8,
         max_bytes: Optional[int] = None,
         solver: Optional[str] = None,
-        preconditioner: str = "jacobi",
-        recycle_block: int = 8,
-        recycle_vectors: int = 16,
     ):
         if max_operators < 1:
             raise ValueError("need room for at least one cached operator")
         if max_bytes is not None and max_bytes < 1:
             raise ValueError("max_bytes must be >= 1 (or None for unbounded)")
-        if solver is not None and solver != "auto" and solver not in TIERS:
-            raise ValueError(
-                f"unknown solver {solver!r}; use 'auto', 'lu', 'block_cg', "
-                "'recycled' or None for the legacy method paths"
-            )
-        if preconditioner not in PRECONDITIONERS:
-            raise ValueError(
-                f"unknown preconditioner {preconditioner!r}; "
-                f"use one of {PRECONDITIONERS}"
-            )
-        if recycle_block < 1:
-            raise ValueError("recycle_block must be >= 1")
+        _check_solver(solver)
         self.max_operators = int(max_operators)
         self.max_bytes = None if max_bytes is None else int(max_bytes)
         self.solver = solver
-        self.preconditioner = preconditioner
-        self.recycle_block = int(recycle_block)
-        self.recycle_vectors = int(recycle_vectors)
         self._cache: "OrderedDict[str, _CachedOperator]" = OrderedDict()
         self.stats = FarmStats()
         # The LRU is shared by serving threads (engine compile, transient
@@ -404,8 +337,8 @@ class SolveFarm:
     ) -> _CachedOperator:
         """The LRU slot for ``key``, with ``representation`` materialized.
 
-        ``representation`` is ``"matrix"`` (CSR operator — the direct /
-        CG / block_cg paths) or ``"stencil"`` (matrix-free — the
+        ``representation`` is ``"matrix"`` (CSR operator — the direct
+        and block_cg paths) or ``"stencil"`` (matrix-free — the
         recycled tier).  A slot that exists but lacks the requested
         representation builds just that half and still counts as a hit:
         hits/misses track digest-level reuse, not representations.
@@ -492,9 +425,8 @@ class SolveFarm:
 
     def _cg_system(self, entry: _CachedOperator) -> Tuple[np.ndarray, sp.csr_matrix]:
         if entry.cg_matrix is None:
-            # Symmetric Jacobi scaling, matching solve_steady's CG path:
-            # the scaled operator has an O(1) spectrum so plain CG on it
-            # converges quickly.
+            # Symmetric Jacobi scaling: the scaled operator has an O(1)
+            # spectrum, so plain CG on it converges quickly.
             matrix = entry.operator.matrix
             scale = 1.0 / np.sqrt(matrix.diagonal())
             scaling = sp.diags(scale)
@@ -511,33 +443,21 @@ class SolveFarm:
             entry.stencil_scale, entry.scaled_core = entry.stencil.core.scaled()
             self._enforce_budget()
         if entry.basis is None:
-            entry.basis = RecycleBasis(max_vectors=self.recycle_vectors)
+            entry.basis = RecycleBasis(max_vectors=RECYCLE_VECTORS)
         return entry.stencil_scale, entry.scaled_core, entry.basis
 
-    def _ssor(self, entry: _CachedOperator):
-        """The cached SSOR apply over the entry's scaled CG system."""
-        if entry.ssor_apply is None:
-            _, scaled_matrix = self._cg_system(entry)
-            entry.ssor_apply = ssor_preconditioner(scaled_matrix)
-            # The closure holds the lower/upper triangular copies —
-            # about one more CSR worth of bytes each.
-            entry.ssor_nbytes = 2 * _sparse_nbytes(scaled_matrix)
-            self._enforce_budget()
-        return entry.ssor_apply
-
-    def _resolve_mode(self, solver: Optional[str], method: str, n_nodes: int) -> str:
+    def _resolve_mode(self, solver: Optional[str], n_nodes: int) -> str:
         """Solve mode for one operator group.
 
-        ``solver=None`` passes the legacy ``method`` through untouched
-        (``"direct"`` / ``"cg"``).  Otherwise the tier policy applies:
-        ``"lu"`` maps to the direct path but
+        ``solver=None`` is the direct path with no budget check.
+        ``"lu"`` is the same direct path but
         *refuses up front* (:class:`~repro.fdm.krylov.MemoryBudgetExceeded`)
         when its estimated CSR + fill footprint cannot fit the farm's
         byte budget; ``"auto"`` degrades through the tiers instead of
         refusing (:func:`~repro.fdm.krylov.choose_tier`).
         """
         if solver is None:
-            return method
+            return "direct"
         if solver == "auto":
             tier = choose_tier(n_nodes, self.max_bytes)
             return "direct" if tier == "lu" else tier
@@ -555,71 +475,37 @@ class SolveFarm:
         return solver
 
     def solve(
-        self,
-        problem: HeatProblem,
-        method: str = "direct",
-        tol: Optional[float] = None,
-        max_iter: Optional[int] = None,
-        solver: Optional[str] = None,
-        preconditioner: Optional[str] = None,
+        self, problem: HeatProblem, solver: Optional[str] = None
     ) -> ThermalSolution:
         """Solve one problem through the cache (see :meth:`solve_many`)."""
-        return self.solve_many(
-            [problem],
-            method=method,
-            tol=tol,
-            max_iter=max_iter,
-            solver=solver,
-            preconditioner=preconditioner,
-        )[0]
+        return self.solve_many([problem], solver=solver)[0]
 
     def solve_many(
-        self,
-        problems: Sequence[HeatProblem],
-        method: str = "direct",
-        tol: Optional[float] = None,
-        max_iter: Optional[int] = None,
-        solver: Optional[str] = None,
-        preconditioner: Optional[str] = None,
+        self, problems: Sequence[HeatProblem], solver: Optional[str] = None
     ) -> List[ThermalSolution]:
         """Solve a batch of problems, amortising shared operators.
 
         Problems are grouped by operator digest; each group assembles its
         operator (or takes it from the cache), builds all K right-hand
         sides, and solves them as a single ``(n, K)`` block — one SuperLU
-        back-substitution (``method="direct"``) or one vectorised block-CG
-        run (``method="cg"``).  Solutions come back in input order, each
+        back-substitution on the direct path, one vectorised block-CG run
+        on an iterative tier.  Solutions come back in input order, each
         with its own energy audit and diagnostics.  ``info["factor_time"]``
         is what this call paid to factorize the group (0 on a cache hit or
         for an HTC sibling, whose ``info["preconditioned_by"]`` names the
         pivot's digest).
 
-        ``solver`` (default: the farm's constructor knob) engages the
-        tier policy instead of ``method``: ``"lu"`` (exact direct with
-        up-front byte-budget refusal), ``"block_cg"`` (CSR-backed
-        preconditioned block CG), ``"recycled"`` (matrix-free deflated
-        block CG with a subspace recycled across blocks and calls) or
-        ``"auto"`` (per-operator choice from the byte budget).  Tiers
-        are chosen per digest group, so one batch may mix them.  The
-        iterative tiers default to ``tol=1e-12`` (measured parity vs LU
-        at that tolerance is ~1e-10 K); the legacy paths keep 1e-10.
+        ``solver`` (default: the farm's constructor knob) is ``None`` or
+        ``"lu"`` (exact direct; ``"lu"`` also refuses up front over the
+        byte budget), ``"block_cg"`` (CSR-backed Jacobi-scaled block CG),
+        ``"recycled"`` (matrix-free deflated block CG with a subspace
+        recycled across blocks and calls) or ``"auto"`` (per-operator
+        choice from the byte budget).  Tiers are chosen per digest group,
+        so one batch may mix them.  The iterative tiers stop at
+        :data:`TIER_TOL` relative residual.
         """
-        if method not in ("direct", "cg"):
-            raise ValueError(f"unknown method {method!r}; use 'direct' or 'cg'")
         solver = self.solver if solver is None else solver
-        if solver is not None and solver != "auto" and solver not in TIERS:
-            raise ValueError(
-                f"unknown solver {solver!r}; use 'auto', 'lu', 'block_cg', "
-                "'recycled' or None for the legacy method paths"
-            )
-        precond_name = (
-            self.preconditioner if preconditioner is None else preconditioner
-        )
-        if precond_name not in PRECONDITIONERS:
-            raise ValueError(
-                f"unknown preconditioner {precond_name!r}; "
-                f"use one of {PRECONDITIONERS}"
-            )
+        _check_solver(solver)
         solutions: List[Optional[ThermalSolution]] = [None] * len(problems)
         # Group by operator digest, preserving first-seen order.  The
         # solve mode (and with it the representation to materialize) is
@@ -633,7 +519,7 @@ class SolveFarm:
             key = operator_digest(problem)
             if key not in groups:
                 groups[key] = []
-                mode = self._resolve_mode(solver, method, problem.grid.n_nodes)
+                mode = self._resolve_mode(solver, problem.grid.n_nodes)
                 modes[key] = mode
                 with self._lock:
                     cached_flags[key] = key in self._cache
@@ -650,7 +536,6 @@ class SolveFarm:
         for key, indices in groups.items():
             entry = entries[key]
             mode = modes[key]
-            group_tol = self._group_tol(tol, mode)
             start = time.perf_counter()
             rhs_parts = [
                 assemble_rhs(problems[i], entry.operator_like) for i in indices
@@ -658,9 +543,7 @@ class SolveFarm:
             rhs_seconds = time.perf_counter() - start
             self.stats.rhs_assemblies += len(indices)
             block = np.column_stack([part.rhs for part in rhs_parts])
-            prepared.append(
-                (key, indices, entry, rhs_parts, rhs_seconds, block, mode, group_tol)
-            )
+            prepared.append((key, indices, entry, rhs_parts, rhs_seconds, block, mode))
 
         # Deflation dims as the solves will *use* them (pre-augment), so
         # emitted info reports what accelerated this batch, not the
@@ -675,9 +558,7 @@ class SolveFarm:
             entries,
         )
 
-        for key, indices, entry, rhs_parts, rhs_seconds, block, mode, group_tol in (
-            prepared
-        ):
+        for key, indices, entry, rhs_parts, rhs_seconds, block, mode in prepared:
             k_block = len(indices)
             pivot = pivots.get(key)
             start = time.perf_counter()
@@ -696,24 +577,12 @@ class SolveFarm:
                     lu = self._factorization(entry)
                     block_solution = lu.solve(block)
                     iterations = np.zeros(k_block, dtype=np.int64)
-            elif mode == "cg":
-                scale, scaled_matrix = self._cg_system(entry)
-                scaled_block = scale[:, None] * block
-                scaled_solution, iterations = _block_cg(
-                    scaled_matrix, scaled_block, tol=group_tol, max_iter=max_iter
-                )
-                block_solution = scale[:, None] * scaled_solution
-                with self._lock:
-                    self.stats.record_block_iterations(key, iterations)
             elif mode == "block_cg":
                 scale, scaled_matrix = self._cg_system(entry)
-                precond = self._ssor(entry) if precond_name == "ssor" else None
                 scaled_solution, iterations = block_pcg(
                     lambda v, m=scaled_matrix: m @ v,
                     scale[:, None] * block,
-                    tol=group_tol,
-                    max_iter=max_iter,
-                    precond=precond,
+                    tol=TIER_TOL,
                 )
                 block_solution = scale[:, None] * scaled_solution
                 with self._lock:
@@ -726,14 +595,10 @@ class SolveFarm:
                 # Sub-block splitting is what makes recycling pay within
                 # a single call: block i+1 starts from (and deflates
                 # against) the subspace block i resolved.
-                for lo in range(0, k_block, self.recycle_block):
-                    hi = min(lo + self.recycle_block, k_block)
+                for lo in range(0, k_block, RECYCLE_BLOCK):
+                    hi = min(lo + RECYCLE_BLOCK, k_block)
                     sub_solution, sub_iters = block_pcg(
-                        core.apply,
-                        scaled_block[:, lo:hi],
-                        tol=group_tol,
-                        max_iter=max_iter,
-                        basis=basis,
+                        core.apply, scaled_block[:, lo:hi], tol=TIER_TOL, basis=basis
                     )
                     scaled_solution[:, lo:hi] = sub_solution
                     iterations[lo:hi] = sub_iters
@@ -756,18 +621,10 @@ class SolveFarm:
                 solve_seconds,
                 0.0 if had_lu[key] else entry.factor_seconds,
                 solver_requested=solver,
-                precond_name=precond_name,
                 deflation_used=used_dims[key],
                 preconditioned_by=pivot,
             )
         return solutions  # type: ignore[return-value]
-
-    @staticmethod
-    def _group_tol(tol: Optional[float], mode: str) -> float:
-        """Effective tolerance: legacy paths keep 1e-10, tiers 1e-12."""
-        if tol is not None:
-            return tol
-        return 1e-12 if mode in ("block_cg", "recycled") else 1e-10
 
     def _emit_group(
         self,
@@ -784,7 +641,6 @@ class SolveFarm:
         solve_seconds: float,
         factor_seconds: float,
         solver_requested: Optional[str] = None,
-        precond_name: str = "jacobi",
         deflation_used: int = 0,
         preconditioned_by: Optional[str] = None,
     ) -> None:
@@ -839,10 +695,9 @@ class SolveFarm:
                 info["preconditioned_by"] = preconditioned_by[:16]
             if solver_requested is not None:
                 info["solver"] = "lu" if mode == "direct" else mode
-                if mode == "block_cg":
-                    info["preconditioner"] = precond_name
-                if mode == "recycled":
+                if mode != "direct":
                     info["preconditioner"] = "jacobi"
+                if mode == "recycled":
                     info["deflation_dim"] = deflation_used
                 info["matrix_free"] = stencil_mode
             solutions[index] = ThermalSolution(
@@ -911,20 +766,9 @@ def reset_default_farm() -> None:
 
 def solve_many(
     problems: Sequence[HeatProblem],
-    method: str = "direct",
-    tol: Optional[float] = None,
-    max_iter: Optional[int] = None,
     farm: Optional[SolveFarm] = None,
     solver: Optional[str] = None,
-    preconditioner: Optional[str] = None,
 ) -> List[ThermalSolution]:
     """Batch-solve through ``farm`` (default: the shared process farm)."""
     farm = farm if farm is not None else get_default_farm()
-    return farm.solve_many(
-        problems,
-        method=method,
-        tol=tol,
-        max_iter=max_iter,
-        solver=solver,
-        preconditioner=preconditioner,
-    )
+    return farm.solve_many(problems, solver=solver)

@@ -32,14 +32,12 @@ scaled CG converges in tens of iterations across the whole mesh ladder,
 while SuperLU's threshold-dropping ILU (``spilu``) is *numerically
 unusable* on this operator class — at ``drop_tol=1e-6`` the incomplete
 factors mis-solve the system by ~100% (the slab operator's small lateral
-couplings are individually droppable but collectively load-bearing), a
-result consistent with the long-standing "ILU stalls CG" note in
-:mod:`repro.fdm.solver`.  The shipped options are therefore ``"jacobi"``
-(symmetric diagonal scaling — the default everywhere, and the only
-choice compatible with the matrix-free path) and ``"ssor"`` (symmetric
-Gauss-Seidel via cached triangular solves, SPD-safe, available to the
-CSR-backed tier for heterogeneous stacks where diagonal scaling can
-degrade).  See ``docs/solvers.md`` for the measurements behind this.
+couplings are individually droppable but collectively load-bearing),
+and symmetric Gauss-Seidel (SSOR) took 72 iterations to Jacobi's 26,
+each about three times the cost.  Both iterative tiers therefore use
+symmetric Jacobi scaling only, which is also the one preconditioner the
+matrix-free path can apply.  See ``docs/solvers.md`` for the
+measurements behind this.
 
 Tier policy lives here too (:func:`choose_tier`,
 :func:`estimate_lu_bytes`): ``"auto"`` keeps the exact direct tier while
@@ -56,8 +54,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ..geometry import Face, StructuredGrid
 from .assembly import (
@@ -73,7 +69,6 @@ from .solver import EnergyReport
 
 __all__ = [
     "TIERS",
-    "PRECONDITIONERS",
     "MemoryBudgetExceeded",
     "StencilCore",
     "StencilOperator",
@@ -83,7 +78,6 @@ __all__ = [
     "choose_tier",
     "estimate_csr_bytes",
     "estimate_lu_bytes",
-    "ssor_preconditioner",
     "stencil_energy_report",
 ]
 
@@ -91,10 +85,6 @@ __all__ = [
 #: path (cached SuperLU), ``"block_cg"`` is CSR-backed preconditioned
 #: block CG, ``"recycled"`` is the matrix-free deflated tier.
 TIERS = ("lu", "block_cg", "recycled")
-
-#: Accepted ``preconditioner=`` names (see the module docstring for why
-#: ILU/IC is deliberately absent).
-PRECONDITIONERS = ("jacobi", "ssor")
 
 # Measured fill model of SuperLU (COLAMD) on the 7-point FV operator:
 # nnz(L+U) ~ 1.9..2.0 * n**1.6 across the 9^3..49^3-class calibration
@@ -180,8 +170,9 @@ def choose_tier(n_nodes: int, max_bytes: Optional[int]) -> str:
     -------
     str
         ``"lu"`` while the estimated CSR + fill footprint fits,
-        ``"block_cg"`` while at least the CSR operator (plus its
-        triangular preconditioner copies, ~3x CSR) fits, and
+        ``"block_cg"`` while three times the CSR estimate fits (the
+        operator pair, its Jacobi-scaled copy and the Krylov block
+        vectors, with headroom), and
         ``"recycled"`` (matrix-free, O(n) resident) beyond that.
     """
     budget = DEFAULT_LU_BYTES if max_bytes is None else int(max_bytes)
@@ -533,42 +524,6 @@ def stencil_energy_report(operator: StencilOperator, part: RHSPart,
 
 
 # ----------------------------------------------------------------------
-# Preconditioners
-# ----------------------------------------------------------------------
-def ssor_preconditioner(scaled_matrix: sp.csr_matrix
-                        ) -> Callable[[np.ndarray], np.ndarray]:
-    """Symmetric Gauss-Seidel preconditioner for the CSR-backed tier.
-
-    Parameters
-    ----------
-    scaled_matrix:
-        The Jacobi-scaled SPD operator (unit diagonal), CSR.
-
-    Returns
-    -------
-    callable
-        ``apply(R) -> M^-1 R`` for an ``(n, k)`` residual block, where
-        ``M = (I + L)(I + L)^T`` — SPD by construction, so CG's
-        convergence theory holds (unlike dropped-ILU factors, which are
-        numerically unusable here; see the module docstring).
-    """
-    lower = sp.tril(scaled_matrix, k=0).tocsr()
-    upper = sp.triu(scaled_matrix, k=0).tocsr()
-    diagonal = scaled_matrix.diagonal()
-
-    def apply(block: np.ndarray) -> np.ndarray:
-        """One SSOR application: forward then backward triangular solve."""
-        partial = spla.spsolve_triangular(lower, block, lower=True)
-        if partial.ndim == 1:
-            partial = partial * diagonal
-        else:
-            partial = partial * diagonal[:, None]
-        return spla.spsolve_triangular(upper, partial, lower=False)
-
-    return apply
-
-
-# ----------------------------------------------------------------------
 # Subspace recycling
 # ----------------------------------------------------------------------
 class RecycleBasis:
@@ -686,16 +641,14 @@ def block_pcg(
     apply_a: Callable[[np.ndarray], np.ndarray],
     block_rhs: np.ndarray,
     tol: float,
-    max_iter: Optional[int],
-    precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     basis: Optional[RecycleBasis] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Preconditioned conjugate gradients on a block of right-hand sides.
+    """Conjugate gradients on a block of Jacobi-scaled right-hand sides.
 
-    Runs K independent PCG recurrences in lock-step: every iteration is
+    Runs K independent CG recurrences in lock-step: every iteration is
     one operator action on the ``(n, K)`` multivector (the block-Krylov
-    amortisation — a stencil/SpMV traversal is reused K ways) plus one
-    preconditioner application.  Columns converge individually against
+    amortisation — a stencil/SpMV traversal is reused K ways).  Columns
+    converge individually against
     ``tol * ||b_j||`` and are frozen once done.  With ``basis``, the
     iteration is *deflated*: the start point is the basis' Galerkin
     projection and every preconditioned residual is A-orthogonalized
@@ -710,13 +663,8 @@ def block_pcg(
     block_rhs:
         ``(n, k)`` scaled right-hand sides.
     tol:
-        Per-column relative residual target.
-    max_iter:
-        Iteration cap (default ``10 n``); non-convergence raises.
-    precond:
-        Optional extra preconditioner ``R -> M^-1 R`` (e.g.
-        :func:`ssor_preconditioner`); ``None`` is plain Jacobi-scaled
-        CG.
+        Per-column relative residual target.  A column still above it
+        after ``10 n`` iterations raises.
     basis:
         Optional :class:`RecycleBasis` for deflation.
 
@@ -726,7 +674,7 @@ def block_pcg(
         ``(n, k)`` scaled solutions and per-column iteration counts.
     """
     n, k = block_rhs.shape
-    max_iter = 10 * n if max_iter is None else int(max_iter)
+    max_iter = 10 * n
     x = None
     if basis is not None:
         x = basis.initial_guess(block_rhs)
@@ -740,9 +688,7 @@ def block_pcg(
     iterations = np.zeros(k, dtype=np.int64)
     active = np.sqrt(np.einsum("ij,ij->j", residual, residual)) > target
 
-    z = residual if precond is None else precond(residual)
-    if basis is not None:
-        z = basis.project(z)
+    z = residual if basis is None else basis.project(residual)
     direction = z.copy()
     rz = np.einsum("ij,ij->j", residual, z)
     it = 0
@@ -760,9 +706,7 @@ def block_pcg(
         active = active & ~newly_done
         if not active.any():
             break
-        z = residual if precond is None else precond(residual)
-        if basis is not None:
-            z = basis.project(z)
+        z = residual if basis is None else basis.project(residual)
         rz_new = np.einsum("ij,ij->j", residual, z)
         beta = np.where(active, rz_new / np.where(rz != 0, rz, 1.0), 0.0)
         direction = z + beta * direction

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..geometry import StructuredGrid
@@ -105,80 +104,36 @@ def energy_report(system: AssembledSystem, temperature: np.ndarray) -> EnergyRep
     )
 
 
-def solve_steady(
-    problem: HeatProblem,
-    method: str = "direct",
-    tol: float = 1e-10,
-    max_iter: Optional[int] = None,
-) -> ThermalSolution:
-    """Solve a steady conduction problem.
+def solve_steady(problem: HeatProblem) -> ThermalSolution:
+    """Solve a steady conduction problem by sparse LU (``spsolve``).
+
+    The accuracy oracle: every farm path and every solver tier is checked
+    against it.
 
     Parameters
     ----------
     problem:
         The assembled-on-demand :class:`HeatProblem`.
-    method:
-        ``"direct"`` (sparse LU, default — the accuracy oracle) or
-        ``"cg"`` (conjugate gradients with an ILU preconditioner, for the
-        mesh-scaling bench).
     """
     start = time.perf_counter()
     system = assemble(problem)
     assembly_time = time.perf_counter() - start
 
     start = time.perf_counter()
-    if method == "direct":
-        temperature = spla.spsolve(system.matrix.tocsc(), system.rhs)
-        iterations = 0
-    elif method == "cg":
-        # Symmetric Jacobi scaling: SI-scale conductances are ~1e-6, and
-        # the scaled system has O(1) spectrum, so unpreconditioned CG on it
-        # converges quickly.  (ILU is not SPD and stalls CG — do not use.)
-        scale = 1.0 / np.sqrt(system.matrix.diagonal())
-        scaling = sp.diags(scale)
-        scaled_matrix = (scaling @ system.matrix @ scaling).tocsr()
-        scaled_rhs = scale * system.rhs
-        # scipy's cg returns 0 on success, so the status is useless as an
-        # iteration count — count real iterations via the callback.
-        iteration_count = 0
-
-        def _count_iteration(_xk):
-            nonlocal iteration_count
-            iteration_count += 1
-
-        scaled_temperature, status = spla.cg(
-            scaled_matrix,
-            scaled_rhs,
-            rtol=tol,
-            maxiter=max_iter,
-            callback=_count_iteration,
-        )
-        if status > 0:
-            raise RuntimeError(f"CG failed to converge within {status} iterations")
-        if status < 0:
-            raise RuntimeError("CG illegal input or breakdown")
-        temperature = scale * scaled_temperature
-        iterations = iteration_count
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'direct' or 'cg'")
+    temperature = spla.spsolve(system.matrix.tocsc(), system.rhs)
     solve_time = time.perf_counter() - start
 
     report = energy_report(system, temperature)
     residual = system.matrix @ temperature - system.rhs
     info = {
-        "method": method,
+        "method": "direct",
         "assembly_time": assembly_time,
         "solve_time": solve_time,
         "total_time": assembly_time + solve_time,
-        "iterations": iterations,
+        "iterations": 0,
         "nnz": int(system.matrix.nnz),
         "n_unknowns": int(system.rhs.size),
         "linear_residual": float(np.linalg.norm(residual)),
         "energy": report,
     }
     return ThermalSolution(grid=problem.grid, temperature=temperature, info=info)
-
-
-def solve_chip(problem: HeatProblem) -> ThermalSolution:
-    """Alias with the naming used throughout the experiment drivers."""
-    return solve_steady(problem, method="direct")

@@ -116,8 +116,12 @@ class TestViz:
         assert "demo" in art and "min 0.000" in art
 
     def test_ascii_heatmap_constant_field(self):
-        art = ascii_heatmap(np.full((2, 2), 7.0))
-        assert len(set(art.strip().replace("\n", ""))) == 1
+        # A 1.2e-12 K span at 299.837 K is solver round-off, not structure.
+        near_constant = 299.837 + np.array([[0.0, 1.2e-12], [6e-13, 0.0]])
+        for field in (np.full((2, 2), 7.0), near_constant):
+            art = ascii_heatmap(field)
+            assert len(set(art.strip().replace("\n", ""))) == 1
+            assert art == ascii_heatmap(np.full((2, 2), 0.5))
 
     def test_ascii_heatmap_extremes_use_shade_range(self):
         art = ascii_heatmap(np.array([[0.0, 1.0]]))

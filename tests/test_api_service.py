@@ -1,9 +1,14 @@
 """Tests for the session façade (:mod:`repro.api.service`)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.api import ThermalService, scenario_for
+from repro.api import ThermalScenario, ThermalService, scenario_for
+from repro.fdm import SolveFarm
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "examples" / "scenarios"
 
 
 def _tiny(family="a", **kwargs):
@@ -116,6 +121,22 @@ class TestSolve:
         reference = setup.model.reference_solution(design, grid)
         assert np.allclose(result.fields[0], reference.to_array(),
                            atol=0, rtol=0)
+
+    def test_solver_tiers_through_the_service(self, tmp_path):
+        scenario = ThermalScenario.from_json(SCENARIO_DIR / "experiment_b_test.json")
+        peaks = {}
+        for solver in (None, "lu", "block_cg", "recycled", "auto"):
+            # A private farm per tier, so no tier reuses another's state.
+            tiered = ThermalService(
+                cache_dir=tmp_path, farm=SolveFarm(), solver=solver
+            )
+            result = tiered.solve(scenario, n_designs=2, seed=3)
+            assert np.all(np.abs(result.energy_imbalance) < 1e-8)
+            peaks[solver] = result.peaks
+        assert np.array_equal(peaks["lu"], peaks[None])
+        assert np.array_equal(peaks["auto"], peaks[None])
+        for solver in ("block_cg", "recycled"):
+            assert np.abs(peaks[solver] - peaks[None]).max() <= 1e-8
 
     def test_transient_solve_is_initial_condition(self, service):
         result = service.solve(scenario_for("transient", scale="test"),

@@ -196,25 +196,6 @@ class TestFarmSolves:
             report = solution.info["energy"]
             assert abs(report.relative_imbalance) <= 1e-8
 
-    def test_block_cg_matches_direct(self):
-        problems = [
-            _problem(influx=800.0 * (index + 1)) for index in range(3)
-        ]
-        farm = SolveFarm()
-        direct = farm.solve_many(problems, method="direct")
-        iterative = farm.solve_many(problems, method="cg", tol=1e-12)
-        for solution, reference in zip(iterative, direct):
-            assert np.abs(
-                solution.temperature - reference.temperature
-            ).max() <= 1e-7
-            assert solution.info["iterations"] > 0
-            assert solution.info["method"] == "farm-cg"
-            assert abs(solution.info["energy"].relative_imbalance) <= 1e-8
-
-    def test_unknown_method_raises(self):
-        with pytest.raises(ValueError, match="unknown method"):
-            SolveFarm().solve(_problem(), method="lobpcg")
-
     def test_assembled_matches_legacy_assemble(self):
         problem = _problem(bottom_bc=DirichletBC(305.0))
         farm = SolveFarm()
@@ -310,10 +291,6 @@ class TestTransientFarm:
 # Satellites in solver.py.
 # ----------------------------------------------------------------------
 class TestSolverSatellites:
-    def test_cg_reports_real_iteration_count(self):
-        solution = solve_steady(_problem(), method="cg", tol=1e-10)
-        assert solution.info["iterations"] > 0
-
     def test_sample_caches_the_interpolator(self):
         solution = solve_steady(_problem())
         points = problem_points = solution.grid.points()[:5]

@@ -2,12 +2,13 @@
 
 The contract under test:
 
-* every tier (``block_cg``, ``recycled``, with either preconditioner)
-  reproduces the LU tier to <= 1e-8 K on realistic operators, across
-  operator sizes;
+* every tier (``block_cg``, ``recycled``) reproduces the LU tier to
+  <= 1e-8 K on realistic operators, across operator sizes;
 * subspace recycling actually helps: the second block solved against a
   digest takes strictly fewer iterations than the first, and the drop
   is observable through ``cache_stats()["iterations"]``;
+* the default (``solver=None``) and explicit ``solver="lu"`` are one
+  code path: bitwise-equal answers, equal factorization counts;
 * ``solver="auto"`` degrades down the tier ladder under a byte budget
   while explicit ``solver="lu"`` refuses up front with
   :class:`MemoryBudgetExceeded`.
@@ -16,6 +17,7 @@ The contract under test:
 import numpy as np
 import pytest
 
+from repro.api import scenario_for
 from repro.bc import ConvectionBC, NeumannBC
 from repro.fdm import (
     HeatProblem,
@@ -76,22 +78,38 @@ class TestTierParity:
             abs(s.info["energy"].relative_imbalance) <= 1e-8 for s in solutions
         )
 
-    def test_ssor_preconditioner_matches_lu(self):
-        problems = _sweep((11, 11, 7))
-        reference = SolveFarm().solve_many(problems, solver="lu")
-        solutions = SolveFarm().solve_many(
-            problems, solver="block_cg", preconditioner="ssor"
-        )
-        assert _max_dev(solutions, reference) <= PARITY_K
-        assert solutions[0].info["preconditioner"] == "ssor"
-
-    def test_legacy_default_is_untouched(self):
-        problems = _sweep((7, 7, 5))
-        legacy = SolveFarm().solve_many(problems)
-        tiered = SolveFarm().solve_many(problems, solver="lu")
-        for lhs, rhs in zip(legacy, tiered):
+    @pytest.mark.parametrize(
+        "case", ["single_operator", "htc_siblings", "over_budget"]
+    )
+    def test_legacy_default_is_untouched(self, case):
+        if case == "htc_siblings":
+            # Eight experiment-B designs: the shared-LU sibling path.
+            setup = scenario_for("b", scale="test").compile()
+            rng = np.random.default_rng(5)
+            problems = [
+                setup.model.concrete_config(
+                    {"htc_top": top, "htc_bottom": bottom}
+                ).heat_problem(setup.eval_grid)
+                for top, bottom in rng.uniform(333.33, 1000.0, size=(8, 2))
+            ]
+        else:
+            problems = _sweep((7, 7, 5))
+        default_farm, lu_farm = SolveFarm(), SolveFarm()
+        if case == "over_budget":
+            # Under the default a budget only evicts; explicit "lu"
+            # refuses, so the reference is an unbudgeted farm.
+            n = problems[0].grid.n_nodes
+            budget = estimate_csr_bytes(n) + estimate_lu_bytes(n) - 1
+            with pytest.raises(MemoryBudgetExceeded):
+                SolveFarm(max_bytes=budget).solve_many(problems, solver="lu")
+            default_farm = SolveFarm(max_bytes=budget)
+        default = default_farm.solve_many(problems)
+        tiered = lu_farm.solve_many(problems, solver="lu")
+        for lhs, rhs in zip(default, tiered):
             assert np.array_equal(lhs.temperature, rhs.temperature)
-        assert "solver" not in legacy[0].info
+        assert default_farm.stats.factorizations == 1
+        assert lu_farm.stats.factorizations == 1
+        assert "solver" not in default[0].info
         assert tiered[0].info["solver"] == "lu"
 
 
