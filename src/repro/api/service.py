@@ -13,6 +13,14 @@ HTC bound, a power family or a training budget hash differently, so
 they can never alias each other's checkpoints or compiled models —
 while re-submitting the same JSON (even under a new ``name``) reuses
 every cached artifact.
+
+Scenarios and scenario families share one model path.  Both get the
+same per-digest session and the same train body (registry hit, corrupt
+quarantine, resumable partial slot, save); :meth:`ThermalService.predict`
+and :meth:`~ThermalService.predict_member` both resolve one model
+handle (engine, the setup that places query points, and the member's
+conditioning vector when a family answers) and run one predict body.
+The serving daemon resolves its fused groups through the same handle.
 """
 
 from __future__ import annotations
@@ -72,6 +80,22 @@ class TrainResult:
     iterations: int
     final_loss: Optional[float] = None
     wall_time: Optional[float] = None
+
+
+def _train_result(subject, path: Path, from_cache: bool, iterations: int,
+                  meta: Mapping) -> TrainResult:
+    """A :class:`TrainResult` carrying a checkpoint's saved loss and time."""
+    final_loss = meta.get("final_loss")
+    wall_time = meta.get("wall_time")
+    return TrainResult(
+        scenario_name=subject.name,
+        digest=subject.content_digest(),
+        checkpoint_path=path,
+        from_cache=from_cache,
+        iterations=iterations,
+        final_loss=None if final_loss is None else float(final_loss),
+        wall_time=None if wall_time is None else float(wall_time),
+    )
 
 
 @dataclass
@@ -148,24 +172,42 @@ class SweepResult:
 
 @dataclass
 class _Session:
-    """Per-digest state the service keeps alive between calls."""
+    """Per-digest state the service keeps alive between calls.
 
-    scenario: ThermalScenario
-    setup: object                       # ExperimentSetup
+    ``subject`` is a :class:`ThermalScenario` with its
+    ``ExperimentSetup``, or a :class:`~repro.family.ScenarioFamily`
+    with its ``FamilySetup``; both setups expose ``.model`` and
+    ``.make_trainer()``.
+    """
+
+    subject: object
+    setup: object
     engine: Optional[object] = None     # CompiledSurrogate
     trained: bool = False
     meta: Dict = field(default_factory=dict)
 
 
 @dataclass
-class _FamilySession:
-    """Per-family-digest state (shared conditioned net + member setups)."""
+class _Handle:
+    """A resolved model: what one predict or rollout runs on.
 
-    family: object                      # ScenarioFamily
-    setup: object                       # FamilySetup
-    engine: Optional[object] = None     # CompiledSurrogate (conditioned)
-    trained: bool = False
-    meta: Dict = field(default_factory=dict)
+    ``setup`` is the ``ExperimentSetup`` whose chip and eval grid place
+    the query points.  A family member carries its ``conditioning``
+    vector and its ``family_digest``; a scenario answered by its own
+    checkpoint carries ``None`` for both.
+    """
+
+    engine: object
+    setup: object
+    conditioning: Optional[np.ndarray] = None
+    family_digest: Optional[str] = None
+
+    def condition(self, designs):
+        """``designs`` with the conditioning vector injected, if any."""
+        if self.conditioning is None:
+            return designs
+        return [{**dict(design), "scenario_conditioning": self.conditioning}
+                for design in designs]
 
 
 # ----------------------------------------------------------------------
@@ -523,8 +565,7 @@ class ThermalService:
         )
         self._trunk_cache = TrunkFeatureCache(trunk_cache_entries,
                                               max_bytes=trunk_bytes)
-        self._sessions: Dict[str, _Session] = {}
-        self._families: Dict[str, _FamilySession] = {}
+        self._sessions: Dict[str, _Session] = {}   # scenarios and families
         self._finetuned: Dict[str, _Session] = {}
         self._closed = False
 
@@ -569,12 +610,8 @@ class ThermalService:
         if self._farm is not None and self._owns_farm:
             self._farm = None
             self._owns_farm = False
-        for entry in self._sessions.values():
+        for entry in (*self._sessions.values(), *self._finetuned.values()):
             entry.engine = None
-        for family_entry in self._families.values():
-            family_entry.engine = None
-        for ft_entry in self._finetuned.values():
-            ft_entry.engine = None
         self._trunk_cache.clear()
 
     def __enter__(self) -> "ThermalService":
@@ -595,12 +632,12 @@ class ThermalService:
             stats["farm"] = self._farm.cache_stats()
         return stats
 
-    def session(self, scenario: ThermalScenario) -> _Session:
-        """The per-digest session (compiling the scenario on first use)."""
-        digest = scenario.content_digest()
+    def session(self, subject) -> _Session:
+        """The per-digest session of a scenario or family (compiled once)."""
+        digest = subject.content_digest()
         entry = self._sessions.get(digest)
         if entry is None:
-            entry = _Session(scenario=scenario, setup=scenario.compile())
+            entry = _Session(subject=subject, setup=subject.compile())
             self._sessions[digest] = entry
         return entry
 
@@ -610,7 +647,9 @@ class ThermalService:
 
     def engine(self, scenario: ThermalScenario):
         """The (trained) compiled serving engine for a scenario."""
-        entry = self.session(scenario)
+        return self._engine_of(self.session(scenario))
+
+    def _engine_of(self, entry: _Session):
         if entry.engine is None:
             # Live view: weights loaded/trained later stay visible, and
             # the digest-keyed trunk cache invalidates transparently.
@@ -658,8 +697,7 @@ class ThermalService:
             designs = self._design_list(raws, n_designs)
         else:
             designs = [dict(design) for design in designs]
-        grid = (entry.setup.eval_grid if grid_shape is None
-                else self._grid(entry, grid_shape))
+        grid = self._grid(entry.setup, grid_shape)
 
         start = time.perf_counter()
         problems = [
@@ -688,10 +726,13 @@ class ThermalService:
         )
 
     @staticmethod
-    def _grid(entry: _Session, grid_shape: tuple):
+    def _grid(setup, grid_shape: Optional[tuple]):
+        """``setup``'s eval grid, or a ``grid_shape`` grid over its chip."""
+        if grid_shape is None:
+            return setup.eval_grid
         from ..geometry import StructuredGrid
 
-        return StructuredGrid(entry.setup.model.config.chip, tuple(grid_shape))
+        return StructuredGrid(setup.model.config.chip, tuple(grid_shape))
 
     # ------------------------------------------------------------------
     # Train
@@ -720,42 +761,50 @@ class ThermalService:
         otherwise.  The partial slot is deleted once the run finishes
         and the final checkpoint is saved.
         """
-        entry = self.session(scenario)
-        digest = scenario.content_digest()
+        return self._train(scenario, scenario.training.iterations,
+                           force_retrain, verbose, resume, checkpoint_every)
 
-        if not force_retrain and self.registry.has(scenario):
+    def _train(self, subject, iterations: int, force_retrain: bool,
+               verbose: bool, resume: bool,
+               checkpoint_every: Optional[int],
+               extra_meta: Optional[Dict] = None,
+               on_checkpoint: Optional[Callable] = None) -> TrainResult:
+        """The train body behind :meth:`train` and :meth:`train_family`.
+
+        ``extra_meta`` joins the saved metadata; ``on_checkpoint(subject)``
+        runs once the final slot holds the model (on a hit and after a
+        save).
+        """
+        entry = self.session(subject)
+
+        if not force_retrain and self.registry.has(subject):
             try:
-                meta = self.registry.load(scenario, entry.setup.model)
+                meta = self.registry.load(subject, entry.setup.model)
             except CheckpointCorrupt as exc:
                 logger.warning(
                     "cached checkpoint for %s (digest %s) is corrupt: %s; "
                     "retraining into the slot",
-                    scenario.name,
-                    digest[: self.registry.DIGEST_CHARS],
+                    subject.name,
+                    subject.content_digest()[: self.registry.DIGEST_CHARS],
                     exc,
                 )
             else:
-                path = self.registry.find(scenario)
+                if on_checkpoint is not None:
+                    on_checkpoint(subject)
                 entry.trained = True
                 entry.meta = dict(meta or {})
-                final_loss = entry.meta.get("final_loss")
-                wall_time = entry.meta.get("wall_time")
-                return TrainResult(
-                    scenario_name=scenario.name,
-                    digest=digest,
-                    checkpoint_path=path,
-                    from_cache=True,
-                    iterations=scenario.training.iterations,
-                    final_loss=float(final_loss) if final_loss is not None else None,
-                    wall_time=float(wall_time) if wall_time is not None else None,
-                )
+                return _train_result(subject, self.registry.find(subject),
+                                     True, iterations, entry.meta)
 
         trainer = entry.setup.make_trainer()
         if checkpoint_every is not None:
-            trainer.config.checkpoint_every = int(checkpoint_every)
+            # A copy: the session's config must not keep autosaving on
+            # later calls that pass no checkpoint_every.
+            trainer.config = replace(trainer.config,
+                                     checkpoint_every=int(checkpoint_every))
         train_state = None
         if resume or trainer.config.checkpoint_every:
-            train_state = self.registry.train_state_path(scenario)
+            train_state = self.registry.train_state_path(subject)
         try:
             history = trainer.run(
                 verbose=verbose, checkpoint_path=train_state, resume=resume
@@ -770,7 +819,7 @@ class ThermalService:
             logger.warning(
                 "resumable trainer state for %s is corrupt: %s "
                 "(quarantined to %s); restarting training from scratch",
-                scenario.name,
+                subject.name,
                 exc.reason,
                 quarantined,
             )
@@ -780,22 +829,17 @@ class ThermalService:
         meta = {
             "final_loss": history.final_loss,
             "wall_time": history.wall_time,
-            "iterations": scenario.training.iterations,
+            "iterations": iterations,
+            **(extra_meta or {}),
         }
-        path = self.registry.save(scenario, entry.setup.model, meta=meta)
+        path = self.registry.save(subject, entry.setup.model, meta=meta)
+        if on_checkpoint is not None:
+            on_checkpoint(subject)
         if train_state is not None:
             Path(train_state).unlink(missing_ok=True)
         entry.trained = True
         entry.meta = meta
-        return TrainResult(
-            scenario_name=scenario.name,
-            digest=digest,
-            checkpoint_path=path,
-            from_cache=False,
-            iterations=scenario.training.iterations,
-            final_loss=history.final_loss,
-            wall_time=history.wall_time,
-        )
+        return _train_result(subject, path, False, iterations, meta)
 
     def load_checkpoint(self, scenario: ThermalScenario,
                         path: Union[str, Path]) -> None:
@@ -804,23 +848,24 @@ class ThermalService:
         entry.setup.model.load(path)
         entry.trained = True
 
-    def _ensure_trained(self, scenario: ThermalScenario) -> _Session:
-        entry = self.session(scenario)
+    def _ensure_trained(self, subject) -> _Session:
+        """The subject's session, trained or registry-loaded on first use."""
+        entry = self.session(subject)
         if not entry.trained:
-            self.train(scenario)
+            from ..family import ScenarioFamily
+
+            if isinstance(subject, ScenarioFamily):
+                self.train_family(subject)
+            else:
+                self.train(subject)
         return entry
 
     # ------------------------------------------------------------------
     # Families: multi-scenario training, fine-tuning, lineage
     # ------------------------------------------------------------------
-    def family_session(self, family) -> _FamilySession:
-        """The per-family-digest session (compiling on first use)."""
-        digest = family.content_digest()
-        entry = self._families.get(digest)
-        if entry is None:
-            entry = _FamilySession(family=family, setup=family.compile())
-            self._families[digest] = entry
-        return entry
+    def family_session(self, family) -> _Session:
+        """The per-family-digest session; ``.setup`` is the ``FamilySetup``."""
+        return self.session(family)
 
     def family_engine(self, family):
         """The compiled conditioned serving engine for a family.
@@ -831,10 +876,7 @@ class ThermalService:
         on the engine's cached-trunk fast path exactly like same-member
         batches.
         """
-        entry = self.family_session(family)
-        if entry.engine is None:
-            entry.engine = entry.setup.model.compile_with_cache(self._trunk_cache)
-        return entry.engine
+        return self._engine_of(self.session(family))
 
     def train_family(
         self,
@@ -853,100 +895,16 @@ class ThermalService:
         which is what lets :meth:`CheckpointRegistry.find_family_ancestor`
         match covered scenarios to this checkpoint in later processes.
         """
-        from ..family.trainer import FamilyTrainer
-
-        entry = self.family_session(family)
-        digest = family.content_digest()
-        iterations = family.base.training.iterations
-
-        if not force_retrain and self.registry.has(family):
-            try:
-                meta = self.registry.load(family, entry.setup.model)
-            except CheckpointCorrupt as exc:
-                logger.warning(
-                    "cached family checkpoint for %s (digest %s) is corrupt: "
-                    "%s; retraining into the slot",
-                    family.name,
-                    digest[: self.registry.DIGEST_CHARS],
-                    exc,
-                )
-            else:
-                self.registry.write_family_spec(family)
-                path = self.registry.find(family)
-                entry.trained = True
-                entry.meta = dict(meta or {})
-                final_loss = entry.meta.get("final_loss")
-                wall_time = entry.meta.get("wall_time")
-                return TrainResult(
-                    scenario_name=family.name,
-                    digest=digest,
-                    checkpoint_path=path,
-                    from_cache=True,
-                    iterations=iterations,
-                    final_loss=(float(final_loss)
-                                if final_loss is not None else None),
-                    wall_time=(float(wall_time)
-                               if wall_time is not None else None),
-                )
-
-        trainer = FamilyTrainer(entry.setup)
-        if checkpoint_every is not None:
-            trainer.config.checkpoint_every = int(checkpoint_every)
-        train_state = None
-        if resume or trainer.config.checkpoint_every:
-            train_state = self.registry.train_state_path(family)
-        try:
-            history = trainer.run(
-                verbose=verbose, checkpoint_path=train_state, resume=resume
-            )
-        except CheckpointCorrupt as exc:
-            quarantined = (
-                self.registry.quarantine(exc.path) if exc.path.exists()
-                else None
-            )
-            logger.warning(
-                "resumable family trainer state for %s is corrupt: %s "
-                "(quarantined to %s); restarting training from scratch",
-                family.name,
-                exc.reason,
-                quarantined,
-            )
-            history = trainer.run(
-                verbose=verbose, checkpoint_path=train_state, resume=False
-            )
-        meta = {
-            "final_loss": history.final_loss,
-            "wall_time": history.wall_time,
-            "iterations": iterations,
-            "family": {
-                "name": family.name,
-                "n_members": family.n_members,
-                "member_digests": [
-                    member.content_digest() for member in entry.setup.members
-                ],
-            },
+        members = self.session(family).setup.members
+        family_meta = {
+            "name": family.name,
+            "n_members": family.n_members,
+            "member_digests": [member.content_digest() for member in members],
         }
-        path = self.registry.save(family, entry.setup.model, meta=meta)
-        self.registry.write_family_spec(family)
-        if train_state is not None:
-            Path(train_state).unlink(missing_ok=True)
-        entry.trained = True
-        entry.meta = meta
-        return TrainResult(
-            scenario_name=family.name,
-            digest=digest,
-            checkpoint_path=path,
-            from_cache=False,
-            iterations=iterations,
-            final_loss=history.final_loss,
-            wall_time=history.wall_time,
-        )
-
-    def _ensure_family_trained(self, family) -> _FamilySession:
-        entry = self.family_session(family)
-        if not entry.trained:
-            self.train_family(family)
-        return entry
+        return self._train(family, family.base.training.iterations,
+                           force_retrain, verbose, resume, checkpoint_every,
+                           extra_meta={"family": family_meta},
+                           on_checkpoint=self.registry.write_family_spec)
 
     def fine_tune(
         self,
@@ -981,15 +939,9 @@ class ThermalService:
         if cached is not None and not force_retrain:
             path = self.registry.find_fine_tuned(scenario)
             if path is not None:
-                return TrainResult(
-                    scenario_name=scenario.name,
-                    digest=digest,
-                    checkpoint_path=path,
-                    from_cache=True,
-                    iterations=int(cached.meta.get("iterations", 0)),
-                    final_loss=cached.meta.get("final_loss"),
-                    wall_time=cached.meta.get("wall_time"),
-                )
+                return _train_result(scenario, path, True,
+                                     int(cached.meta.get("iterations", 0)),
+                                     cached.meta)
 
         # A fresh compile gives fine-tuning its own net: the family
         # session (and any engine serving it) keeps its weights.
@@ -1008,18 +960,11 @@ class ThermalService:
                     scenario.name, exc.reason, quarantined,
                 )
             else:
-                session = _Session(scenario=scenario, setup=target,
-                                   trained=True, meta=dict(meta or {}))
-                self._finetuned[digest] = session
-                return TrainResult(
-                    scenario_name=scenario.name,
-                    digest=digest,
-                    checkpoint_path=ft_path,
-                    from_cache=True,
-                    iterations=int(session.meta.get("iterations", 0)),
-                    final_loss=session.meta.get("final_loss"),
-                    wall_time=session.meta.get("wall_time"),
-                )
+                meta = dict(meta or {})
+                self._finetuned[digest] = _Session(
+                    subject=scenario, setup=target, trained=True, meta=meta)
+                return _train_result(scenario, ft_path, True,
+                                     int(meta.get("iterations", 0)), meta)
 
         if not self.registry.has(family):
             self.train_family(family, verbose=verbose)
@@ -1048,18 +993,9 @@ class ThermalService:
             scenario, target.model, meta=meta,
             parent_digest=family.content_digest(),
         )
-        session = _Session(scenario=scenario, setup=target, trained=True,
-                           meta=meta)
-        self._finetuned[digest] = session
-        return TrainResult(
-            scenario_name=scenario.name,
-            digest=digest,
-            checkpoint_path=path,
-            from_cache=False,
-            iterations=config.iterations,
-            final_loss=history.final_loss,
-            wall_time=history.wall_time,
-        )
+        self._finetuned[digest] = _Session(subject=scenario, setup=target,
+                                           trained=True, meta=meta)
+        return _train_result(scenario, path, False, config.iterations, meta)
 
     def predict_member(
         self,
@@ -1083,57 +1019,9 @@ class ThermalService:
                 f"scenario {scenario.name!r} is outside family "
                 f"{family.name!r}'s envelope"
             )
-        if scenario.transient is not None and t is None:
-            raise ValueError(
-                "transient scenarios evaluate at an instant: pass t= "
-                "(seconds)"
-            )
-        digest = scenario.content_digest()
-        session = None
-        if prefer_fine_tuned:
-            session = self._finetuned.get(digest)
-            if (session is None
-                    and self.registry.find_fine_tuned(scenario) is not None):
-                self.fine_tune(scenario, from_family=family)
-                session = self._finetuned.get(digest)
-        if session is not None:
-            if session.engine is None:
-                session.engine = session.setup.model.compile_with_cache(
-                    self._trunk_cache
-                )
-            engine = session.engine
-            setup = session.setup
-        else:
-            entry = self._ensure_family_trained(family)
-            engine = self.family_engine(family)
-            setup = entry.setup.setups[0]
-
-        vector = family.conditioning_vector(scenario)
-        conditioned = [
-            {**dict(design), "scenario_conditioning": vector}
-            for design in designs
-        ]
-        grid = None
-        if points_si is None:
-            if grid_shape is None:
-                grid = setup.eval_grid
-            else:
-                from ..geometry import StructuredGrid
-
-                grid = StructuredGrid(setup.model.config.chip,
-                                      tuple(grid_shape))
-        start = time.perf_counter()
-        fields = engine.predict_batch(conditioned, grid=grid,
-                                      points_si=points_si, t=t)
-        elapsed = time.perf_counter() - start
-        return PredictResult(
-            scenario_name=scenario.name,
-            digest=digest,
-            fields=fields,
-            peaks=fields.max(axis=1),
-            elapsed=elapsed,
-            cache=engine.cache_info()._asdict(),
-        )
+        return self._predict(scenario, designs, grid_shape, points_si, t,
+                             family=family,
+                             prefer_fine_tuned=prefer_fine_tuned)
 
     def lineage(self, scenario) -> List[Dict]:
         """Checkpoint provenance chain for a scenario (child → root).
@@ -1160,20 +1048,53 @@ class ThermalService:
         ``points_si``); transient scenarios need an instant ``t`` in
         seconds (use :meth:`rollout` for whole trajectories).
         """
-        entry = self._ensure_trained(scenario)
+        return self._predict(scenario, designs, grid_shape, points_si, t)
+
+    def _handle(self, scenario: ThermalScenario, family=None,
+                prefer_fine_tuned: bool = False) -> _Handle:
+        """Resolve the model that answers ``scenario``.
+
+        Without ``family``: the scenario's own model, trained on first
+        use.  With one: the member's fine-tuned model when
+        ``prefer_fine_tuned`` and one exists, else the shared family
+        engine (trained on first use); either way fed the member's
+        conditioning vector.  Coverage is the caller's check.
+        """
+        if family is None:
+            entry = self._ensure_trained(scenario)
+            return _Handle(self._engine_of(entry), entry.setup)
+        entry = None
+        if prefer_fine_tuned:
+            digest = scenario.content_digest()
+            if (digest not in self._finetuned
+                    and self.registry.find_fine_tuned(scenario) is not None):
+                self.fine_tune(scenario, from_family=family)
+            entry = self._finetuned.get(digest)
+        if entry is not None:
+            setup = entry.setup
+        else:
+            entry = self._ensure_trained(family)
+            setup = entry.setup.setups[0]
+        return _Handle(self._engine_of(entry), setup,
+                       family.conditioning_vector(scenario),
+                       family.content_digest())
+
+    def _predict(self, scenario: ThermalScenario, designs, grid_shape,
+                 points_si, t, family=None,
+                 prefer_fine_tuned: bool = False) -> PredictResult:
+        """The predict body behind :meth:`predict` and :meth:`predict_member`."""
         if scenario.transient is not None and t is None:
             raise ValueError(
                 "transient scenarios evaluate at an instant: pass t= "
                 "(seconds) or use rollout() for full trajectories"
             )
-        engine = self.engine(scenario)
-        grid = None
-        if points_si is None:
-            grid = (entry.setup.eval_grid if grid_shape is None
-                    else self._grid(entry, grid_shape))
+        handle = self._handle(scenario, family, prefer_fine_tuned)
+        grid = (None if points_si is not None
+                else self._grid(handle.setup, grid_shape))
+        designs = handle.condition(designs)
         start = time.perf_counter()
-        fields = engine.predict_batch(designs, grid=grid, points_si=points_si,
-                                      t=t)
+        fields = handle.engine.predict_batch(designs, grid=grid,
+                                             points_si=points_si, t=t)
         elapsed = time.perf_counter() - start
         return PredictResult(
             scenario_name=scenario.name,
@@ -1181,7 +1102,7 @@ class ThermalService:
             fields=fields,
             peaks=fields.max(axis=1),
             elapsed=elapsed,
-            cache=engine.cache_info()._asdict(),
+            cache=handle.engine.cache_info()._asdict(),
         )
 
     def rollout(
@@ -1198,13 +1119,11 @@ class ThermalService:
                 "rollout needs a transient scenario; this one is steady "
                 "(no 'transient' section)"
             )
-        entry = self._ensure_trained(scenario)
-        engine = self.engine(scenario)
+        handle = self._handle(scenario)
+        engine = handle.engine
         times = np.atleast_1d(np.asarray(times, dtype=np.float64))
-        grid = None
-        if points_si is None:
-            grid = (entry.setup.eval_grid if grid_shape is None
-                    else self._grid(entry, grid_shape))
+        grid = (None if points_si is not None
+                else self._grid(handle.setup, grid_shape))
         start = time.perf_counter()
         fields = engine.predict_rollout(designs, times, grid=grid,
                                         points_si=points_si)
@@ -1244,11 +1163,10 @@ class ThermalService:
                 "transient trajectories"
             )
         entry = self._ensure_trained(scenario)
-        engine = self.engine(scenario)
+        engine = self._engine_of(entry)
         n_designs = max(1, int(n_designs))
         chunk_size = max(1, int(chunk_size))
-        grid = (entry.setup.eval_grid if grid_shape is None
-                else self._grid(entry, grid_shape))
+        grid = self._grid(entry.setup, grid_shape)
         raws = self.sample_designs(scenario, n_designs, seed=seed)
         engine.warmup(grid)
 
@@ -1318,6 +1236,6 @@ class ThermalService:
     # ------------------------------------------------------------------
     def __repr__(self) -> str:
         return (
-            f"ThermalService({len(self._sessions)} scenario session(s), "
+            f"ThermalService({len(self._sessions)} session(s), "
             f"registry={self.registry.root})"
         )

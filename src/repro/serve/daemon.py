@@ -41,6 +41,12 @@ Operational contracts:
 * **Deadlines** — a request carrying ``timeout_ms`` that is still
   queued when its deadline passes is answered ``deadline_exceeded``
   before any compute is spent on it.
+* **Family routing** — a scenario with no checkpoint of its own that a
+  trained family covers is answered by the family's shared conditioned
+  engine, never a fine-tuned member slot.  Requests for different
+  members fuse into one merge dgemm.  Scenario and family-routed
+  groups run one predict path and one rollout path: each request's
+  model comes from the service's resolved model handle.
 
 Concurrency model: one thread per connection parses and validates;
 *all* compute runs on the single batcher thread, so the service and its
@@ -57,7 +63,7 @@ import socket
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -117,6 +123,21 @@ def _parse_grid_shape(raw) -> Optional[Tuple[int, int, int]]:
     if len(shape) != 3 or any(n < 2 for n in shape):
         raise RequestError("'grid_shape' must be three integers >= 2")
     return shape
+
+
+class _GroupContext(NamedTuple):
+    """What a fused predict or rollout group runs on (see ``_group_context``)."""
+
+    members: List[Tuple[str, ThermalScenario]]   # (digest, scenario) per request
+    design_groups: List[List[Dict]]              # conditioned when routed
+    engine: object
+    grid: object
+    family_digest: Optional[str]
+
+    @property
+    def n_designs(self) -> int:
+        """Designs across the whole group."""
+        return sum(len(designs) for designs in self.design_groups)
 
 
 class ThermalServer:
@@ -254,10 +275,9 @@ class ThermalServer:
             with self._scenario_lock:
                 self._families[fam_digest] = family
             result = self.service.train_family(family)
-            engine = self.service.family_engine(family)
-            setup = self.service.family_session(family).setup.setups[0]
             if family.base.transient is None:
-                engine.warmup(setup.eval_grid)
+                setup = self.service.family_session(family).setup.setups[0]
+                self.service.family_engine(family).warmup(setup.eval_grid)
             self._boot_sources[fam_digest[:16]] = (
                 "exact" if result.from_cache else "trained"
             )
@@ -270,29 +290,18 @@ class ThermalServer:
             digest = scenario.content_digest()
             with self._scenario_lock:
                 self._scenarios[digest] = scenario
-            ancestor = None
-            if not self.service.registry.has(scenario):
-                ancestor = self.service.registry.find_family_ancestor(
-                    scenario
-                )
-            if ancestor is not None:
-                family, _ = ancestor
-                fam_digest = family.content_digest()
-                with self._scenario_lock:
-                    self._families.setdefault(fam_digest, family)
-                    self._routes[digest] = fam_digest
-                self.service.train_family(family)
-                engine = self.service.family_engine(family)
-                setup = self.service.family_session(family).setup.setups[0]
-                if scenario.transient is None:
-                    engine.warmup(setup.eval_grid)
-                source = f"family:{fam_digest[:16]}"
-            else:
+            route = self._route_for(scenario)
+            family = None
+            if route is None:
                 result = self.service.train(scenario)
-                engine = self.service.engine(scenario)
-                if scenario.transient is None:
-                    engine.warmup(self.service.setup(scenario).eval_grid)
                 source = "exact" if result.from_cache else "trained"
+            else:
+                with self._scenario_lock:
+                    family = self._families[route]
+                source = f"family:{route[:16]}"
+            handle = self.service._handle(scenario, family)
+            if scenario.transient is None:
+                handle.engine.warmup(handle.setup.eval_grid)
             self._boot_sources[digest[:16]] = source
             logger.info(
                 "warm-started %s (digest %s, %s)",
@@ -727,17 +736,34 @@ class ThermalServer:
                     f"{type(exc).__name__}: {exc}",
                 ))
 
-    def _group_context(self, group: List[QueuedRequest]):
-        """(scenario, session entry, engine, grid) shared by a fused group."""
-        digest = group[0].fuse_key[1]
+    def _group_context(self, group: List[QueuedRequest]) -> _GroupContext:
+        """Members, designs and the shared engine and grid of a fused group.
+
+        A family-routed group (fuse key ``family:<digest>``) may mix
+        members: each distinct member resolves one service handle, whose
+        conditioning is injected into that member's designs.  Every
+        handle of a group shares the engine and the grid's setup.
+        """
+        key = group[0].fuse_key[1]
+        family = None
         with self._scenario_lock:
-            scenario = self._scenarios[digest]
-        entry = self.service._ensure_trained(scenario)
-        engine = self.service.engine(scenario)
-        grid_shape = group[0].payload["grid_shape"]
-        grid = (entry.setup.eval_grid if grid_shape is None
-                else self.service._grid(entry, grid_shape))
-        return scenario, entry, engine, grid
+            if key.startswith("family:"):
+                family = self._families[key[len("family:"):]]
+            digests = [r.payload.get("scenario_digest", key) for r in group]
+            members = [(digest, self._scenarios[digest]) for digest in digests]
+        handles: Dict[str, object] = {}
+        for digest, member in members:
+            if digest not in handles:
+                handles[digest] = self.service._handle(member, family)
+        design_groups = [
+            handles[digest].condition(request.payload["designs"])
+            for request, digest in zip(group, digests)
+        ]
+        handle = handles[digests[0]]
+        grid = self.service._grid(handle.setup,
+                                  group[0].payload["grid_shape"])
+        return _GroupContext(members, design_groups, handle.engine, grid,
+                             handle.family_digest)
 
     @staticmethod
     def _batch_meta(group: List[QueuedRequest], total_designs: int,
@@ -749,141 +775,55 @@ class ThermalServer:
             "elapsed_seconds": elapsed,
         }
 
-    def _family_group_context(self, group: List[QueuedRequest]):
-        """(family, member scenarios, engine, grid) for a family-routed group."""
-        fam_digest = group[0].fuse_key[1][len("family:"):]
-        with self._scenario_lock:
-            family = self._families[fam_digest]
-            members = [
-                self._scenarios[request.payload["scenario_digest"]]
-                for request in group
-            ]
-        self.service._ensure_family_trained(family)
-        engine = self.service.family_engine(family)
-        setup = self.service.family_session(family).setup.setups[0]
-        grid_shape = group[0].payload["grid_shape"]
-        if grid_shape is None:
-            grid = setup.eval_grid
-        else:
-            from ..geometry import StructuredGrid
+    @staticmethod
+    def _answer(group: List[QueuedRequest], members, family_digest,
+                summaries: List[Dict], blocks, meta: Dict) -> None:
+        """Resolve each request in frame key order.
 
-            grid = StructuredGrid(setup.model.config.chip, tuple(grid_shape))
-        return family, members, engine, grid
-
-    def _conditioned_design_groups(self, family, members,
-                                   group: List[QueuedRequest]) -> List[List]:
-        """Per-request designs with each member's conditioning injected."""
-        design_groups = []
-        for request, member in zip(group, members):
-            vector = family.conditioning_vector(member)
-            design_groups.append([
-                {**design, "scenario_conditioning": vector}
-                for design in request.payload["designs"]
-            ])
-        return design_groups
-
-    def _run_predict_family(self, group: List[QueuedRequest]) -> None:
-        """Fused predict across (possibly different) family members."""
-        family, members, engine, grid = self._family_group_context(group)
-        design_groups = self._conditioned_design_groups(family, members, group)
-        t = group[0].payload["t"]
-        start = time.perf_counter()
-        if members[0].transient is not None:
-            fields = engine.predict_fused(design_groups, grid=grid, times=[t])
-            fields = [block[:, 0, :] for block in fields]
-        else:
-            fields = engine.predict_fused(design_groups, grid=grid)
-        elapsed = time.perf_counter() - start
-        total = sum(len(g) for g in design_groups)
-        meta = self._batch_meta(group, total, elapsed)
-        for request, member, block in zip(group, members, fields):
-            result = {
-                "op": "predict",
-                "scenario": member.name,
-                "digest": member.content_digest(),
-                "family": family.content_digest(),
-                "peaks": block.max(axis=1),
-                "batch": meta,
-            }
-            if request.payload["return_fields"]:
-                result["fields"] = block
-            request.resolve(ok_response(request.request_id, result))
-
-    def _run_rollout_family(self, group: List[QueuedRequest]) -> None:
-        """Fused rollout across (possibly different) family members."""
-        family, members, engine, grid = self._family_group_context(group)
-        design_groups = self._conditioned_design_groups(family, members, group)
-        times = np.asarray(group[0].payload["times"], dtype=np.float64)
-        start = time.perf_counter()
-        blocks = engine.predict_fused(design_groups, grid=grid, times=times)
-        elapsed = time.perf_counter() - start
-        total = sum(len(g) for g in design_groups)
-        meta = self._batch_meta(group, total, elapsed)
-        for request, member, block in zip(group, members, blocks):
-            result = {
-                "op": "rollout",
-                "scenario": member.name,
-                "digest": member.content_digest(),
-                "family": family.content_digest(),
-                "times": times,
-                "peak_traces": block.max(axis=2),
-                "batch": meta,
-            }
+        ``op``, ``scenario``, ``digest``, ``family`` (routed requests
+        only), the op's summary keys, ``batch``, then ``fields``.
+        """
+        for request, (digest, member), summary, block in zip(
+                group, members, summaries, blocks):
+            result = {"op": request.op, "scenario": member.name,
+                      "digest": digest}
+            if family_digest is not None:
+                result["family"] = family_digest
+            result.update(summary)
+            result["batch"] = meta
             if request.payload["return_fields"]:
                 result["fields"] = block
             request.resolve(ok_response(request.request_id, result))
 
     def _run_predict(self, group: List[QueuedRequest]) -> None:
-        if group[0].fuse_key[1].startswith("family:"):
-            return self._run_predict_family(group)
-        scenario, _, engine, grid = self._group_context(group)
-        design_groups = [r.payload["designs"] for r in group]
-        t = group[0].payload["t"]
+        context = self._group_context(group)
         start = time.perf_counter()
-        if scenario.transient is not None:
-            fields = engine.predict_fused(design_groups, grid=grid,
-                                          times=[t])
-            fields = [block[:, 0, :] for block in fields]
+        if context.members[0][1].transient is not None:
+            blocks = context.engine.predict_fused(
+                context.design_groups, grid=context.grid,
+                times=[group[0].payload["t"]])
+            blocks = [block[:, 0, :] for block in blocks]
         else:
-            fields = engine.predict_fused(design_groups, grid=grid)
+            blocks = context.engine.predict_fused(context.design_groups,
+                                                  grid=context.grid)
         elapsed = time.perf_counter() - start
-        total = sum(len(g) for g in design_groups)
-        meta = self._batch_meta(group, total, elapsed)
-        for request, block in zip(group, fields):
-            result = {
-                "op": "predict",
-                "scenario": scenario.name,
-                "digest": scenario.content_digest(),
-                "peaks": block.max(axis=1),
-                "batch": meta,
-            }
-            if request.payload["return_fields"]:
-                result["fields"] = block
-            request.resolve(ok_response(request.request_id, result))
+        self._answer(group, context.members, context.family_digest,
+                     [{"peaks": block.max(axis=1)} for block in blocks],
+                     blocks, self._batch_meta(group, context.n_designs,
+                                              elapsed))
 
     def _run_rollout(self, group: List[QueuedRequest]) -> None:
-        if group[0].fuse_key[1].startswith("family:"):
-            return self._run_rollout_family(group)
-        scenario, _, engine, grid = self._group_context(group)
-        design_groups = [r.payload["designs"] for r in group]
+        context = self._group_context(group)
         times = np.asarray(group[0].payload["times"], dtype=np.float64)
         start = time.perf_counter()
-        blocks = engine.predict_fused(design_groups, grid=grid, times=times)
+        blocks = context.engine.predict_fused(context.design_groups,
+                                              grid=context.grid, times=times)
         elapsed = time.perf_counter() - start
-        total = sum(len(g) for g in design_groups)
-        meta = self._batch_meta(group, total, elapsed)
-        for request, block in zip(group, blocks):
-            result = {
-                "op": "rollout",
-                "scenario": scenario.name,
-                "digest": scenario.content_digest(),
-                "times": times,
-                "peak_traces": block.max(axis=2),
-                "batch": meta,
-            }
-            if request.payload["return_fields"]:
-                result["fields"] = block
-            request.resolve(ok_response(request.request_id, result))
+        self._answer(group, context.members, context.family_digest,
+                     [{"times": times, "peak_traces": block.max(axis=2)}
+                      for block in blocks],
+                     blocks, self._batch_meta(group, context.n_designs,
+                                              elapsed))
 
     def _run_solve(self, group: List[QueuedRequest]) -> None:
         digest = group[0].fuse_key[1]
@@ -891,29 +831,21 @@ class ThermalServer:
             scenario = self._scenarios[digest]
         design_groups = [r.payload["designs"] for r in group]
         flat = [design for g in design_groups for design in g]
-        grid_shape = group[0].payload["grid_shape"]
         # One grouped farm call: every design in the fused batch shares
         # the operator digest, so K requests cost one back-substitution
         # block instead of K factorization-amortized singles.
         solve = self.service.solve(scenario, designs=flat,
-                                   grid_shape=grid_shape)
-        meta = self._batch_meta(group, len(flat), solve.elapsed)
-        offset = 0
-        for request, designs in zip(group, design_groups):
-            lo, hi = offset, offset + len(designs)
-            offset = hi
-            result = {
-                "op": "solve",
-                "scenario": scenario.name,
-                "digest": digest,
-                "grid_shape": list(solve.grid_shape),
-                "peaks": solve.peaks[lo:hi],
-                "energy_imbalance": solve.energy_imbalance[lo:hi],
-                "batch": meta,
-            }
-            if request.payload["return_fields"]:
-                result["fields"] = solve.fields[lo:hi]
-            request.resolve(ok_response(request.request_id, result))
+                                   grid_shape=group[0].payload["grid_shape"])
+        bounds = np.cumsum([0] + [len(g) for g in design_groups])
+        spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        summaries = [{
+            "grid_shape": list(solve.grid_shape),
+            "peaks": solve.peaks[span],
+            "energy_imbalance": solve.energy_imbalance[span],
+        } for span in spans]
+        self._answer(group, [(digest, scenario)] * len(group), None,
+                     summaries, [solve.fields[span] for span in spans],
+                     self._batch_meta(group, len(flat), solve.elapsed))
 
     # ------------------------------------------------------------------
     # Introspection

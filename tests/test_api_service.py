@@ -227,6 +227,59 @@ class TestSweep:
                               result.raws["power_map"][2])
 
 
+def _tiny_family(iterations=4):
+    from repro.family import ScenarioFamily
+
+    base = scenario_for("b", scale="test")
+    base.training.iterations = iterations
+    return ScenarioFamily.from_dict({
+        "family_schema_version": 1,
+        "name": "service_family",
+        "base": base.to_dict(),
+        "axes": [{"kind": "htc_range", "input": "htc_top", "low": 333.33,
+                  "high": 1000.0, "member_width": 150.0}],
+        "n_members": 2,
+        "sample_seed": 7,
+        "conditioning_hidden": [8],
+    })
+
+
+class TestTrainCheckpointEvery:
+    @pytest.mark.parametrize("kind", ["scenario", "family"])
+    def test_checkpoint_every_stays_with_its_call(self, service, monkeypatch,
+                                                  kind):
+        """``checkpoint_every=`` autosaves that run only, not later ones."""
+        from repro.core import trainer as core_trainer
+        from repro.family import trainer as family_trainer
+
+        saves = []
+        real_save = core_trainer.save_trainer_state
+
+        def spy(*args, **kwargs):
+            saves.append(args)
+            return real_save(*args, **kwargs)
+
+        monkeypatch.setattr(core_trainer, "save_trainer_state", spy)
+        monkeypatch.setattr(family_trainer, "save_trainer_state", spy)
+        if kind == "scenario":
+            subject, train = _tiny(), service.train
+            config = service.setup(subject).trainer_config
+        else:
+            subject, train = _tiny_family(), service.train_family
+            config = service.family_session(subject).setup.trainer_config
+        before = config.checkpoint_every
+        assert not before
+
+        train(subject, checkpoint_every=2)
+        assert saves  # this run autosaved
+        assert config.checkpoint_every == before
+
+        saves.clear()
+        result = train(subject, force_retrain=True)
+        assert not result.from_cache
+        assert saves == []
+
+
 class TestAtomicRegistrySave:
     def test_save_leaves_no_temp_files(self, tmp_path):
         from repro.api import CheckpointRegistry, scenario_experiment_a

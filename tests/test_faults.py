@@ -60,6 +60,23 @@ def _tiny(iterations=5):
     return scenario
 
 
+def _tiny_family(iterations=4):
+    from repro.family import ScenarioFamily
+
+    base = scenario_for("b", scale="test")
+    base.training.iterations = iterations
+    return ScenarioFamily.from_dict({
+        "family_schema_version": 1,
+        "name": "faults_family",
+        "base": base.to_dict(),
+        "axes": [{"kind": "htc_range", "input": "htc_top", "low": 333.33,
+                  "high": 1000.0, "member_width": 150.0}],
+        "n_members": 2,
+        "sample_seed": 7,
+        "conditioning_hidden": [8],
+    })
+
+
 def _designs(service, scenario, n, seed=0):
     raws = service.sample_designs(scenario, n, seed=seed)
     return [{name: batch[index] for name, batch in raws.items()}
@@ -293,17 +310,23 @@ class TestCheckpointCorruption:
         for key in ref_state:
             assert np.array_equal(ref_state[key], new_state[key]), key
 
-    def test_train_self_heals_a_corrupt_cache_hit(self, tmp_path, caplog):
-        scn = _tiny(iterations=6)
+    @pytest.mark.parametrize("kind", ["scenario", "family"])
+    def test_train_self_heals_a_corrupt_cache_hit(self, tmp_path, caplog,
+                                                  kind):
+        # Scenarios and families share one train body; both halves heal.
+        if kind == "scenario":
+            subject, train = _tiny(iterations=6), ThermalService.train
+        else:
+            subject, train = _tiny_family(), ThermalService.train_family
         with ThermalService(cache_dir=tmp_path) as svc:
-            svc.train(scn)
+            train(svc, subject)
         with ThermalService(cache_dir=tmp_path) as svc:
-            path = svc.registry.find(scn)
+            path = svc.registry.find(subject)
             raw = bytearray(path.read_bytes())
             raw[len(raw) // 2] ^= 0xFF
             path.write_bytes(bytes(raw))
             with caplog.at_level("WARNING", logger="repro.api.service"):
-                result = svc.train(scn)
+                result = train(svc, subject)
             assert not result.from_cache  # retrained, not served corrupt
             assert list(tmp_path.glob("*.corrupt"))
 

@@ -830,6 +830,23 @@ def _serve_family():
     })
 
 
+def _transient_serve_family():
+    base = scenario_for("transient", scale="test")
+    base.training.iterations = 3
+    from repro.family import ScenarioFamily
+
+    return ScenarioFamily.from_dict({
+        "family_schema_version": 1,
+        "name": "transient_serve_family",
+        "base": base.to_dict(),
+        "axes": [{"kind": "trace_levels", "input": "transient_power",
+                  "low": 0.5, "high": 1.5}],
+        "n_members": 2,
+        "sample_seed": 3,
+        "conditioning_hidden": [8],
+    })
+
+
 @pytest.fixture(scope="module")
 def family_registry(tmp_path_factory):
     """Registry holding one trained tiny family (plus its spec sidecar)."""
@@ -911,6 +928,34 @@ class TestFamilyServing:
                     result = client.predict(
                         holdout, _designs(reference, holdout, 1))
             assert result["family"] == family.content_digest()
+
+    def test_family_routed_rollout_and_transient_predict(self, tmp_path):
+        """A transient holdout's socket answers equal the in-process ones."""
+        family = _transient_serve_family()
+        holdout = family.holdout(0)
+        times = [0.0, 2.0, 4.0]
+        with ThermalService(cache_dir=tmp_path) as reference:
+            reference.train_family(family)
+            designs = _designs(reference, holdout, 2, seed=5)
+            vector = family.conditioning_vector(holdout)
+            conditioned = [{**design, "scenario_conditioning": vector}
+                           for design in designs]
+            grid = reference.family_session(family).setup.setups[0].eval_grid
+            expected_rollout = reference.family_engine(family).predict_rollout(
+                conditioned, np.asarray(times), grid=grid)
+            expected_predict = reference.predict_member(
+                family, holdout, designs, t=2.0, prefer_fine_tuned=False)
+        with ThermalServer(cache_dir=tmp_path, max_wait=0.0) as server:
+            with ThermalClient(port=server.port) as client:
+                rollout = client.rollout(holdout, designs, times)
+                predict = client.predict(holdout, designs, t=2.0)
+        fam_digest = family.content_digest()
+        assert rollout["family"] == predict["family"] == fam_digest
+        assert np.array_equal(rollout["fields"], expected_rollout)
+        assert np.array_equal(rollout["peak_traces"],
+                              expected_rollout.max(axis=2))
+        assert np.array_equal(predict["fields"], expected_predict.fields)
+        assert np.array_equal(predict["peaks"], expected_predict.peaks)
 
     def test_warm_start_families_boot_exactly(self, family_registry):
         family = _serve_family()
