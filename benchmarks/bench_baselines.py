@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import format_table, mape
+from repro.api import scenario_for
 from repro.baselines import (
     PODSurrogate,
     RidgeRegressionSurrogate,
@@ -23,7 +24,7 @@ from repro.baselines import (
     generate_dataset,
     train_supervised,
 )
-from repro.core import MeshCollocation, experiment_a
+from repro.core import MeshCollocation
 from repro.fdm import solve_steady
 from repro.geometry import StructuredGrid
 
@@ -36,7 +37,7 @@ def small_grid(trained_a):
 def test_datadriven_cost_and_accuracy(benchmark, trained_a, small_grid, out_dir):
     """Benchmark = labelling one training sample with the solver."""
     rng = np.random.default_rng(0)
-    fresh = experiment_a(scale="test", seed=50)
+    fresh = scenario_for("a", scale="test", seed=50).compile()
 
     benchmark(lambda: generate_dataset(fresh.model, small_grid, 1, rng))
 
@@ -94,7 +95,7 @@ def test_pinn_retrain_vs_operator_inference(benchmark, trained_a, small_grid,
 def test_ridge_on_affine_operator(benchmark, trained_a, small_grid, out_dir):
     """Ridge regression on Exp-A's affine map->field operator."""
     rng = np.random.default_rng(3)
-    fresh = experiment_a(scale="test", seed=60)
+    fresh = scenario_for("a", scale="test", seed=60).compile()
     maps = fresh.model.inputs[0].sample(rng, 50)
     fields = np.stack(
         [

@@ -46,8 +46,8 @@ import numpy as np
 import pytest
 from conftest import SMOKE
 
+from repro.api import scenario_for
 from repro.bc import ConvectionBC, NeumannBC
-from repro.core import experiment_a
 from repro.fdm import (
     HeatProblem,
     MemoryBudgetExceeded,
@@ -68,7 +68,7 @@ FARM_ROUNDS = 1 if SMOKE else 3
 
 def _sweep_problems():
     """16 GRF power-map designs on the experiment-A grid (one operator)."""
-    setup = experiment_a(scale="test" if SMOKE else "ci")
+    setup = scenario_for("a", scale="test" if SMOKE else "ci").compile()
     rng = np.random.default_rng(7)
     maps = setup.model.inputs[0].sample(rng, N_DESIGNS)
     grid = setup.eval_grid

@@ -8,30 +8,9 @@ solver, and sane scaling of temperature with injected power.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis import field_report, format_table
-from repro.experiments.common import DEFAULT_CACHE_DIR
 from repro.fdm import solve_steady
-
-
-@pytest.fixture(scope="module")
-def trained_volumetric():
-    from repro.core import experiment_volumetric
-    from repro.nn import load_checkpoint, save_checkpoint
-
-    setup = experiment_volumetric(scale="ci")
-    DEFAULT_CACHE_DIR.mkdir(parents=True, exist_ok=True)
-    path = DEFAULT_CACHE_DIR / (
-        f"volumetric-ci-it{setup.trainer_config.iterations}"
-        f"-p{setup.model.net.num_parameters()}.npz"
-    )
-    if path.exists():
-        load_checkpoint(setup.model.net, path)
-    else:
-        setup.make_trainer().run()
-        save_checkpoint(setup.model.net, path)
-    return setup
 
 
 def test_volumetric_unseen_accuracy(benchmark, trained_volumetric, out_dir):

@@ -14,7 +14,8 @@ backward):
 
 Methodology
 -----------
-Each path trains freshly built ``experiment_a`` presets from scratch
+Each path trains freshly compiled Experiment-A presets
+(``scenario_for("a", ...).compile()``) from scratch
 (no model cache) with ``log_every=1`` so the loss is recorded at every
 step.  iterations/sec is ``iterations / TrainingHistory.wall_time`` —
 wall time covers the full iteration (configuration sampling,
@@ -46,7 +47,7 @@ import numpy as np
 from conftest import MODEL_SCALE as SCALE
 from conftest import SMOKE
 
-from repro.core import experiment_a
+from repro.api import scenario_for
 from repro.core.trainer import Trainer
 ITERATIONS = 10 if SMOKE else 50
 MIN_SPEEDUP = 2.0
@@ -59,7 +60,7 @@ TIMING_ITERATIONS = 4 if SMOKE else 20
 
 def _run(stacked: bool, iterations: int):
     """Train a fresh experiment-A preset; return (losses, iterations/sec)."""
-    setup = experiment_a(scale=SCALE)
+    setup = scenario_for("a", scale=SCALE).compile()
     cfg = replace(
         setup.trainer_config,
         iterations=iterations,

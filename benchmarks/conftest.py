@@ -1,9 +1,12 @@
 """Shared fixtures for the benchmark suite.
 
-Trained models are cached on disk (``.model_cache/``) so the first
-``pytest benchmarks/ --benchmark-only`` run trains once (~5 min total) and
-every later run loads instantly.  Each bench writes its regenerated
-table/figure to ``benchmarks/out/`` alongside the timing numbers.
+Trained models live in the :class:`~repro.api.ThermalService` checkpoint
+registry (``.model_cache/``, or ``REPRO_MODEL_CACHE``), keyed by each
+scenario's content digest: the first ``pytest benchmarks/
+--benchmark-only`` run trains once (~5 min total), every later run loads
+instantly, and a changed scenario never loads a stale model.  Each bench
+writes its regenerated table/figure to ``benchmarks/out/`` alongside the
+timing numbers.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import get_trained_setup
+from repro.api import ThermalService, scenario_for
 
 OUT_DIR = Path(__file__).parent / "out"
 
@@ -29,22 +32,40 @@ def out_dir() -> Path:
     return OUT_DIR
 
 
+def _trained(name: str, scale: str = MODEL_SCALE):
+    """A preset's setup, trained into (or loaded from) the registry."""
+    scenario = scenario_for(name, scale=scale)
+    service = ThermalService()
+    service.train(scenario)
+    return service.setup(scenario)
+
+
 @pytest.fixture(scope="session")
 def trained_a():
     """CI-scale Experiment-A model (trained once, then disk-cached)."""
-    return get_trained_setup("a", scale=MODEL_SCALE)
+    return _trained("a")
 
 
 @pytest.fixture(scope="session")
 def trained_b():
     """CI-scale Experiment-B model (trained once, then disk-cached)."""
-    return get_trained_setup("b", scale=MODEL_SCALE)
+    return _trained("b")
 
 
 @pytest.fixture(scope="session")
 def trained_transient():
     """CI-scale transient model (trained once, then disk-cached)."""
-    return get_trained_setup("transient", scale=MODEL_SCALE)
+    return _trained("transient")
+
+
+@pytest.fixture(scope="session")
+def trained_volumetric():
+    """CI-scale 3-D power-map model (trained once, then disk-cached).
+
+    Always CI scale: the volumetric bench has no smoke mode, and its
+    accuracy gate is set for the CI-scale model.
+    """
+    return _trained("volumetric", scale="ci")
 
 
 @pytest.fixture(scope="session")

@@ -16,13 +16,13 @@ import time
 import numpy as np
 
 from repro.analysis import kv_block, model_summary
-from repro.core import experiment_a
+from repro.api import scenario_for
 
 
 def main():
-    # "test" scale keeps this demo in seconds; swap for get_trained_setup
-    # ("ci"/"paper") to serve a properly-trained checkpoint.
-    setup = experiment_a(scale="test")
+    # "test" scale keeps this demo in seconds; train a "ci"/"paper"
+    # scenario through ThermalService to serve a properly-trained one.
+    setup = scenario_for("a", scale="test").compile()
     setup.make_trainer().run(verbose=False)
     model = setup.model
     grid = setup.eval_grid

@@ -16,7 +16,7 @@ import argparse
 import numpy as np
 
 from repro.analysis import ascii_heatmap, kv_block
-from repro.experiments import get_trained_setup
+from repro.api import ThermalService, scenario_for
 from repro.floorplan import (
     Floorplan,
     FunctionalBlock,
@@ -33,7 +33,10 @@ def main() -> None:
     args = parser.parse_args()
 
     print(f"Loading/Training Experiment-A model ({args.scale} scale) ...")
-    setup = get_trained_setup("a", scale=args.scale)
+    scenario = scenario_for("a", scale=args.scale)
+    service = ThermalService()
+    service.train(scenario)
+    setup = service.setup(scenario)
     objective = SurrogatePeakObjective(setup.model, setup.eval_grid)
 
     blocks = [

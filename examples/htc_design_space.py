@@ -15,11 +15,8 @@ import argparse
 import numpy as np
 
 from repro.analysis import ascii_heatmap, format_table
-from repro.experiments import (
-    get_trained_setup,
-    htc_design_sweep,
-    run_experiment_b,
-)
+from repro.api import ThermalService, scenario_for
+from repro.experiments import htc_design_sweep, run_experiment_b
 
 
 def main() -> None:
@@ -30,7 +27,10 @@ def main() -> None:
     args = parser.parse_args()
 
     print(f"Loading/Training Experiment-B model ({args.scale} scale) ...")
-    setup = get_trained_setup("b", scale=args.scale)
+    scenario = scenario_for("b", scale=args.scale)
+    service = ThermalService()
+    service.train(scenario)
+    setup = service.setup(scenario)
 
     print("\n=== Fig. 5 cases ===")
     result = run_experiment_b(setup)

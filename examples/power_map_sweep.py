@@ -12,12 +12,8 @@ Usage::
 import argparse
 
 from repro.analysis import format_table
-from repro.experiments import (
-    figure4_maps,
-    figure4_text,
-    get_trained_setup,
-    run_experiment_a,
-)
+from repro.api import ThermalService, scenario_for
+from repro.experiments import figure4_maps, figure4_text, run_experiment_a
 
 
 def main() -> None:
@@ -30,7 +26,10 @@ def main() -> None:
     args = parser.parse_args()
 
     print(f"Loading/Training Experiment-A model ({args.scale} scale) ...")
-    setup = get_trained_setup("a", scale=args.scale, verbose=False)
+    scenario = scenario_for("a", scale=args.scale)
+    service = ThermalService()
+    service.train(scenario)
+    setup = service.setup(scenario)
 
     print("\n=== Fig. 4: training map vs tile map vs interpolation ===")
     print(figure4_text(figure4_maps(setup)))

@@ -70,14 +70,11 @@ def main() -> None:
 
     service.close()  # drop the session's engines and caches
 
-    # The same model through the legacy (deprecated) imperative path:
+    # Without the service, the same scenario compiles to a bare setup:
     #
-    #     from repro.core import experiment_a          # DeprecationWarning
-    #     setup = experiment_a(scale="test")
+    #     setup = scenario.compile()
     #     setup.make_trainer().run()
     #     field = setup.model.predict_grid(design, setup.eval_grid)
-    #
-    # Both routes compile the identical model; prefer scenarios.
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import argparse
 import numpy as np
 
 from repro.analysis import ascii_heatmap, field_report, format_table, kv_block
-from repro.core import experiment_volumetric
+from repro.api import scenario_for
 from repro.fdm import solve_steady
 
 
@@ -28,7 +28,7 @@ def main() -> None:
     args = parser.parse_args()
 
     print(f"Training the 3-D power-map extension ({args.scale} scale) ...")
-    setup = experiment_volumetric(scale=args.scale)
+    setup = scenario_for("volumetric", scale=args.scale).compile()
     history = setup.make_trainer().run()
     print(
         f"loss {history.initial_loss:.3e} -> {history.final_loss:.3e} "

@@ -35,7 +35,6 @@ from .presets import (
     scenario_experiment_transient,
     scenario_experiment_volumetric,
     scenario_for,
-    scenario_names,
 )
 from .scenario import (
     SCHEMA_VERSION,
@@ -99,5 +98,4 @@ __all__ = [
     "scenario_experiment_transient",
     "scenario_experiment_volumetric",
     "scenario_for",
-    "scenario_names",
 ]

@@ -1,10 +1,9 @@
 """Scenario builders for the paper's workload families, at three scales.
 
-These produce :class:`~repro.api.scenario.ThermalScenario` *specs* — the
-declarative form of what ``repro.core.presets`` used to construct
-imperatively.  The legacy ``experiment_*`` factories are now thin
-deprecation shims over these builders (``scenario_*(...).compile()``),
-so the spec path and the legacy path are one code path.
+These produce :class:`~repro.api.scenario.ThermalScenario` *specs*;
+``scenario_for(name, scale=..., **kwargs).compile()`` is the one way to
+build a preset's :class:`~repro.core.presets.ExperimentSetup`, and
+:class:`~repro.api.ThermalService` trains and serves the same specs.
 
 ``scale="paper"`` reproduces the reported architecture and budget
 exactly; ``scale="ci"`` is the bench default; ``scale="test"`` runs in
@@ -391,8 +390,3 @@ def preset_inventory() -> Dict[str, Dict]:
         "transient": {"scales": sorted(_SCALES_T),
                       "summary": "time-modulated power pulses (eq. 1)"},
     }
-
-
-def scenario_names() -> Tuple[str, ...]:
-    """Names accepted by :func:`scenario_for`."""
-    return ("a", "b", "volumetric", "transient")

@@ -251,14 +251,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _service(solver: Optional[str] = None):
     """A service session rooted at the shared model cache.
 
-    Reads ``DEFAULT_CACHE_DIR`` through :mod:`repro.experiments.common`
-    at call time so test fixtures (and ``REPRO_MODEL_CACHE``) take
-    effect.
+    Passes no ``cache_dir``, so :class:`~repro.api.ThermalService` reads
+    ``repro.api.service.DEFAULT_CACHE_DIR`` (``REPRO_MODEL_CACHE``) at
+    call time.
     """
     from .api import ThermalService
-    from .experiments import common
 
-    return ThermalService(cache_dir=common.DEFAULT_CACHE_DIR, solver=solver)
+    return ThermalService(solver=solver)
 
 
 def _trained(service, name: str, scale: str, checkpoint: Optional[str]):
@@ -493,9 +492,10 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_speedup(args) -> int:
-    from .experiments import get_trained_setup, run_speedup_study
+    from .experiments import run_speedup_study
 
-    setup = get_trained_setup(args.experiment, scale=args.scale)
+    _, setup = _trained(_service(args.solver), args.experiment, args.scale,
+                        None)
     paper = {
         "a": dict(paper_solver_seconds=300.0, paper_speedup_cpu=3000.0,
                   paper_speedup_gpu=300000.0),
@@ -805,7 +805,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from .experiments import common
     from .serve import serve_main
 
     budget = (None if args.memory_budget_mb is None
@@ -818,7 +817,6 @@ def _cmd_serve(args) -> int:
         max_wait=args.max_wait_ms / 1e3,
         queue_depth=args.queue_depth,
         memory_budget=budget,
-        cache_dir=common.DEFAULT_CACHE_DIR,
         watchdog_timeout=args.watchdog_timeout,
         solver=args.solver,
     )

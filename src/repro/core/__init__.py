@@ -13,13 +13,7 @@ from .encoding import (
 )
 from .losses import PhysicsLossBuilder
 from .model import DeepOHeat
-from .presets import (
-    ExperimentSetup,
-    experiment_a,
-    experiment_b,
-    experiment_transient,
-    experiment_volumetric,
-)
+from .presets import ExperimentSetup
 from .sampler import (
     CollocationBatch,
     CollocationPlan,
@@ -53,9 +47,5 @@ __all__ = [
     "TrainerConfig",
     "TrainingHistory",
     "apply_design",
-    "experiment_a",
-    "experiment_b",
-    "experiment_transient",
-    "experiment_volumetric",
     "total_points",
 ]

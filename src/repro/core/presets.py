@@ -1,29 +1,25 @@
-"""Legacy preset factories — thin shims over the declarative scenario API.
+"""The compiled form of a workload: :class:`ExperimentSetup`.
 
-The paper's experiment presets now live as *scenario builders* in
-:mod:`repro.api.presets` (``scenario_experiment_a`` etc.); every factory
-here is a deprecated one-liner that builds the scenario and compiles it,
-so the legacy path and the ``ThermalScenario``-routed path are the same
-code and produce bitwise-identical setups.  Prefer::
+A setup bundles the model, collocation plan, trainer config and
+evaluation grid of one workload.  It is what
+:meth:`repro.api.ThermalScenario.compile` returns; the paper's presets
+are scenario builders in :mod:`repro.api.presets`::
 
-    from repro.api import scenario_experiment_a
-    setup = scenario_experiment_a(scale="ci").compile()
+    from repro.api import scenario_for
+    setup = scenario_for("a", scale="ci").compile()
 
 or go through :class:`repro.api.ThermalService` for the full lifecycle.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..geometry import StructuredGrid
 from .model import DeepOHeat
 from .sampler import CollocationPlan
 from .trainer import Trainer, TrainerConfig
-
-T_AMB = 298.15
 
 
 @dataclass
@@ -45,81 +41,3 @@ class ExperimentSetup:
 
     def make_trainer(self) -> Trainer:
         return Trainer(self.model, self.plan, self.trainer_config)
-
-
-def _deprecated(name: str) -> None:
-    warnings.warn(
-        f"repro.core.{name} is deprecated; build the scenario with "
-        f"repro.api.scenario_{name} (or a scenario JSON) and .compile() it",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def experiment_a(
-    scale: str = "ci",
-    htc_bottom: float = 500.0,
-    conductivity: float = 0.1,
-    dt_ref: float = 10.0,
-    seed: int = 0,
-) -> ExperimentSetup:
-    """Deprecated shim for :func:`repro.api.scenario_experiment_a`."""
-    from ..api.presets import scenario_experiment_a
-
-    _deprecated("experiment_a")
-    return scenario_experiment_a(
-        scale=scale, htc_bottom=htc_bottom, conductivity=conductivity,
-        dt_ref=dt_ref, seed=seed,
-    ).compile()
-
-
-def experiment_b(
-    scale: str = "ci",
-    htc_range: Tuple[float, float] = (333.33, 1000.0),
-    conductivity: float = 0.1,
-    dt_ref: float = 2.0,
-    seed: int = 0,
-    aligned: bool = True,
-) -> ExperimentSetup:
-    """Deprecated shim for :func:`repro.api.scenario_experiment_b`."""
-    from ..api.presets import scenario_experiment_b
-
-    _deprecated("experiment_b")
-    return scenario_experiment_b(
-        scale=scale, htc_range=htc_range, conductivity=conductivity,
-        dt_ref=dt_ref, seed=seed, aligned=aligned,
-    ).compile()
-
-
-def experiment_volumetric(
-    scale: str = "ci",
-    conductivity: float = 0.1,
-    unit_density: float = 5.0e6,
-    dt_ref: float = 10.0,
-    seed: int = 0,
-) -> ExperimentSetup:
-    """Deprecated shim for :func:`repro.api.scenario_experiment_volumetric`."""
-    from ..api.presets import scenario_experiment_volumetric
-
-    _deprecated("experiment_volumetric")
-    return scenario_experiment_volumetric(
-        scale=scale, conductivity=conductivity, unit_density=unit_density,
-        dt_ref=dt_ref, seed=seed,
-    ).compile()
-
-
-def experiment_transient(
-    scale: str = "ci",
-    htc_bottom: float = 500.0,
-    conductivity: float = 0.1,
-    dt_ref: float = 10.0,
-    seed: int = 0,
-) -> ExperimentSetup:
-    """Deprecated shim for :func:`repro.api.scenario_experiment_transient`."""
-    from ..api.presets import scenario_experiment_transient
-
-    _deprecated("experiment_transient")
-    return scenario_experiment_transient(
-        scale=scale, htc_bottom=htc_bottom, conductivity=conductivity,
-        dt_ref=dt_ref, seed=seed,
-    ).compile()

@@ -6,7 +6,6 @@ from .ablations import (
     run_fourier_ablation,
     run_sampling_ablation,
 )
-from .common import DEFAULT_CACHE_DIR, get_trained_setup, train_fresh
 from .exp_a import (
     ExperimentAResult,
     PowerMapCase,
@@ -36,7 +35,6 @@ from .speedup import SpeedupStudy, fdm_scaling_curve, run_speedup_study
 
 __all__ = [
     "AblationRun",
-    "DEFAULT_CACHE_DIR",
     "ExperimentAResult",
     "ExperimentBResult",
     "ExperimentCResult",
@@ -51,7 +49,6 @@ __all__ = [
     "fdm_scaling_curve",
     "figure4_maps",
     "figure4_text",
-    "get_trained_setup",
     "heldout_scenarios",
     "htc_design_sweep",
     "run_all_scenarios",
@@ -63,5 +60,4 @@ __all__ = [
     "run_activation_ablation",
     "run_fourier_ablation",
     "run_speedup_study",
-    "train_fresh",
 ]

@@ -29,9 +29,8 @@ from ..core import (
     PowerMapInput,
     Trainer,
     TrainerConfig,
-    experiment_b,
 )
-from ..core.presets import T_AMB
+from ..api.presets import T_AMB, scenario_for
 from ..bc import AdiabaticBC, ConvectionBC
 from ..fdm import SolveFarm, get_default_farm
 from ..geometry import Face, StructuredGrid, paper_chip_a
@@ -153,7 +152,9 @@ def run_sampling_ablation(iterations: int = 200, seed: int = 0) -> List[Ablation
     """Experiment B: aligned (per-function points) vs shared random points."""
     runs = []
     for aligned in (True, False):
-        setup = experiment_b(scale="test", aligned=aligned, seed=seed)
+        setup = scenario_for(
+            "b", scale="test", aligned=aligned, seed=seed
+        ).compile()
         setup.trainer_config.iterations = iterations
         history = setup.make_trainer().run()
         design = {"htc_top": 700.0, "htc_bottom": 450.0}

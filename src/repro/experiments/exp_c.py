@@ -2,7 +2,7 @@
 
 The paper trains only the steady limit of its governing equation (1);
 this driver validates the transient extension end-to-end.  A trained
-transient surrogate (see :func:`repro.core.experiment_transient`) is
+transient surrogate (``scenario_for("transient")``) is
 rolled out over held-out power-pulse scenarios — a workload step, a DVFS
 ramp and a clock-gating square wave, none of which are training samples
 — and compared, instant by instant, against the implicit theta-scheme

@@ -1,7 +1,6 @@
 """Tests for the declarative scenario spec (:mod:`repro.api.scenario`)."""
 
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +10,7 @@ from repro.api import (
     SCHEMA_VERSION,
     ScenarioValidationError,
     ThermalScenario,
+    scenario_experiment_b,
     scenario_for,
 )
 
@@ -64,44 +64,14 @@ class TestRoundTrip:
 
 
 class TestLegacyParity:
-    """The deprecated factories and the scenario route are one path."""
-
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_factory_matches_scenario_compile(self, family):
-        from repro.core import (
-            experiment_a,
-            experiment_b,
-            experiment_transient,
-            experiment_volumetric,
-        )
-
-        factory = {
-            "a": experiment_a,
-            "b": experiment_b,
-            "volumetric": experiment_volumetric,
-            "transient": experiment_transient,
-        }[family]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = factory(scale="test")
-        _assert_same_setup(legacy, scenario_for(family, scale="test").compile())
-
-    def test_factory_emits_deprecation_warning(self):
-        from repro.core import experiment_a
-
-        with pytest.warns(DeprecationWarning, match="scenario_experiment_a"):
-            experiment_a(scale="test")
+    """``scenario_for`` and the shipped JSONs build the builders' scenarios."""
 
     def test_factory_kwargs_flow_through(self):
-        from repro.core import experiment_b
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = experiment_b(scale="test", htc_range=(250.0, 1250.0),
-                                  seed=5, aligned=False)
-        scenario = scenario_for("b", scale="test", htc_range=(250.0, 1250.0),
-                                seed=5, aligned=False)
-        _assert_same_setup(legacy, scenario.compile())
+        kwargs = dict(htc_range=(250.0, 1250.0), seed=5, aligned=False)
+        direct = scenario_experiment_b(scale="test", **kwargs)
+        routed = scenario_for("b", scale="test", **kwargs)
+        assert routed.content_digest() == direct.content_digest()
+        _assert_same_setup(direct.compile(), routed.compile())
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_shipped_scenario_files_match_builders(self, family):

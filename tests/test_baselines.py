@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import scenario_for
 from repro.baselines import (
     PODSurrogate,
     RidgeRegressionSurrogate,
@@ -12,7 +13,7 @@ from repro.baselines import (
 )
 from repro.baselines.datadriven import spawn_seeds
 from repro.bc import ConvectionBC, NeumannBC
-from repro.core import ChipConfig, MeshCollocation, experiment_a, experiment_b
+from repro.core import ChipConfig, MeshCollocation
 from repro.fdm import solve_steady
 from repro.geometry import Face, StructuredGrid, paper_chip_a
 from repro.materials import UniformConductivity
@@ -68,7 +69,7 @@ class TestVanillaPINN:
 class TestDataDriven:
     @pytest.fixture(scope="class")
     def setup(self):
-        return experiment_a(scale="test", seed=11)
+        return scenario_for("a", scale="test", seed=11).compile()
 
     def test_dataset_generation(self, setup):
         grid = StructuredGrid(paper_chip_a(), (5, 5, 4))
@@ -109,7 +110,7 @@ class TestRidgeRegression:
         linear sub-problem admits a classical surrogate; DeepOHeat's value
         is configurations that enter the PDE nonlinearly.
         """
-        setup = experiment_a(scale="test", seed=5)
+        setup = scenario_for("a", scale="test", seed=5).compile()
         grid = StructuredGrid(paper_chip_a(), (5, 5, 4))
         rng = np.random.default_rng(2)
         maps = setup.model.inputs[0].sample(rng, 60)
@@ -145,7 +146,7 @@ class TestRidgeRegression:
 class TestPOD:
     def _snapshots(self, n=16):
         """Exp-B style: fields over a 2-parameter HTC grid."""
-        setup = experiment_b(scale="test", seed=7)
+        setup = scenario_for("b", scale="test", seed=7).compile()
         grid = StructuredGrid(setup.model.config.chip, (5, 5, 5))
         values = np.linspace(350.0, 950.0, int(np.sqrt(n)))
         params, fields = [], []
@@ -213,7 +214,7 @@ class TestSpawnSeeds:
 
 class TestSeededDatasetGeneration:
     def test_same_seed_is_bitwise_reproducible(self):
-        setup = experiment_a(scale="test", seed=0)
+        setup = scenario_for("a", scale="test", seed=0).compile()
         grid = StructuredGrid(setup.model.config.chip, (5, 5, 4))
         first = generate_dataset(setup.model, grid, 6, seed=11)
         second = generate_dataset(setup.model, grid, 6, seed=11)
@@ -224,7 +225,7 @@ class TestSeededDatasetGeneration:
         assert not np.array_equal(first.raws[0], other.raws[0])
 
     def test_rng_and_seed_are_exclusive(self):
-        setup = experiment_a(scale="test", seed=0)
+        setup = scenario_for("a", scale="test", seed=0).compile()
         grid = StructuredGrid(setup.model.config.chip, (5, 5, 4))
         with pytest.raises(ValueError, match="exactly one"):
             generate_dataset(setup.model, grid, 2)

@@ -1,13 +1,17 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 
-SCENARIO_DIR = Path(__file__).resolve().parents[1] / "examples" / "scenarios"
+REPO_ROOT = Path(__file__).resolve().parents[1]
+SCENARIO_DIR = REPO_ROOT / "examples" / "scenarios"
 
 
 class TestInfo:
@@ -67,19 +71,13 @@ class TestTrain:
 
 class TestEvaluateAndSpeedup:
     def test_evaluate_experiment_a(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_MODEL_CACHE", str(tmp_path))
-        # Re-import common to pick up the env var through a fresh default.
-        import repro.experiments.common as common
-
-        monkeypatch.setattr(common, "DEFAULT_CACHE_DIR", tmp_path)
+        monkeypatch.setattr("repro.api.service.DEFAULT_CACHE_DIR", tmp_path)
         assert main(["evaluate", "--experiment", "a", "--scale", "test"]) == 0
         out = capsys.readouterr().out
         assert "MAPE (%)" in out and "p10" in out
 
     def test_speedup_table(self, tmp_path, capsys, monkeypatch):
-        import repro.experiments.common as common
-
-        monkeypatch.setattr(common, "DEFAULT_CACHE_DIR", tmp_path)
+        monkeypatch.setattr("repro.api.service.DEFAULT_CACHE_DIR", tmp_path)
         assert main(["speedup", "--experiment", "a", "--scale", "test",
                      "--batch", "4", "--refine", "2"]) == 0
         out = capsys.readouterr().out
@@ -92,9 +90,7 @@ class TestEvaluateAndSpeedup:
 
 class TestTransient:
     def test_transient_rollout_report(self, tmp_path, capsys, monkeypatch):
-        import repro.experiments.common as common
-
-        monkeypatch.setattr(common, "DEFAULT_CACHE_DIR", tmp_path)
+        monkeypatch.setattr("repro.api.service.DEFAULT_CACHE_DIR", tmp_path)
         assert main(["transient", "--scale", "test", "--scenario", "step",
                      "--times", "4", "--steps-per-interval", "2"]) == 0
         out = capsys.readouterr().out
@@ -104,9 +100,7 @@ class TestTransient:
         assert "trunk cache" in out
 
     def test_transient_early_stop_flag(self, tmp_path, capsys, monkeypatch):
-        import repro.experiments.common as common
-
-        monkeypatch.setattr(common, "DEFAULT_CACHE_DIR", tmp_path)
+        monkeypatch.setattr("repro.api.service.DEFAULT_CACHE_DIR", tmp_path)
         assert main(["transient", "--scale", "test", "--times", "4",
                      "--steps-per-interval", "2",
                      "--early-stop", "1e9"]) == 0
@@ -125,9 +119,7 @@ class TestTransient:
 
 class TestSweep:
     def test_sweep_streams_designs(self, tmp_path, capsys, monkeypatch):
-        import repro.experiments.common as common
-
-        monkeypatch.setattr(common, "DEFAULT_CACHE_DIR", tmp_path)
+        monkeypatch.setattr("repro.api.service.DEFAULT_CACHE_DIR", tmp_path)
         assert main(["sweep", "--experiment", "a", "--scale", "test",
                      "--designs", "12", "--chunk", "5",
                      "--compare-naive"]) == 0
@@ -139,9 +131,7 @@ class TestSweep:
 
     def test_sweep_loads_explicit_checkpoint(self, tmp_path, capsys,
                                              monkeypatch):
-        import repro.experiments.common as common
-
-        monkeypatch.setattr(common, "DEFAULT_CACHE_DIR", tmp_path)
+        monkeypatch.setattr("repro.api.service.DEFAULT_CACHE_DIR", tmp_path)
         ckpt = tmp_path / "model.npz"
         assert main(["train", "--experiment", "a", "--scale", "test",
                      "--iterations", "3", "--output", str(ckpt),
@@ -152,9 +142,7 @@ class TestSweep:
         assert "trunk cache" in out
 
     def test_sweep_json_output(self, tmp_path, capsys, monkeypatch):
-        import repro.experiments.common as common
-
-        monkeypatch.setattr(common, "DEFAULT_CACHE_DIR", tmp_path)
+        monkeypatch.setattr("repro.api.service.DEFAULT_CACHE_DIR", tmp_path)
         ckpt = tmp_path / "model.npz"
         assert main(["train", "--experiment", "a", "--scale", "test",
                      "--iterations", "3", "--output", str(ckpt),
@@ -178,6 +166,26 @@ class TestInfoJson:
         assert payload["scenario_schema_version"] == 1
         assert set(payload["presets"]) == {"a", "b", "volumetric", "transient"}
         assert "run" in payload["commands"]
+
+    def test_model_cache_env_var_roots_the_registry(self, tmp_path):
+        """``REPRO_MODEL_CACHE`` set before start-up is the CLI registry."""
+        from repro.api import ThermalScenario, ThermalService
+
+        path = SCENARIO_DIR / "experiment_a_test.json"
+        ThermalService(cache_dir=tmp_path).train(ThermalScenario.from_json(path))
+        env = dict(os.environ, REPRO_MODEL_CACHE=str(tmp_path))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "info", "--config", str(path),
+             "--json"],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        checkpoint = json.loads(completed.stdout)["config"]["checkpoint"]
+        assert checkpoint is not None
+        assert Path(checkpoint).resolve().is_relative_to(tmp_path.resolve())
 
 
 class TestValidateConfig:
@@ -227,9 +235,8 @@ class TestRunConfig:
 
     def test_run_pipeline_end_to_end(self, tmp_path, capsys, monkeypatch,
                                      tiny_config):
-        import repro.experiments.common as common
-
-        monkeypatch.setattr(common, "DEFAULT_CACHE_DIR", tmp_path / "cache")
+        monkeypatch.setattr("repro.api.service.DEFAULT_CACHE_DIR",
+                            tmp_path / "cache")
         assert main(["run", "--config", str(tiny_config),
                      "--designs", "2"]) == 0
         out = capsys.readouterr().out
@@ -241,9 +248,8 @@ class TestRunConfig:
     def test_run_reuses_registry_on_second_invocation(self, tmp_path, capsys,
                                                       monkeypatch,
                                                       tiny_config):
-        import repro.experiments.common as common
-
-        monkeypatch.setattr(common, "DEFAULT_CACHE_DIR", tmp_path / "cache")
+        monkeypatch.setattr("repro.api.service.DEFAULT_CACHE_DIR",
+                            tmp_path / "cache")
         assert main(["run", "--config", str(tiny_config), "--quiet"]) == 0
         capsys.readouterr()
         assert main(["run", "--config", str(tiny_config), "--json"]) == 0
@@ -253,10 +259,10 @@ class TestRunConfig:
         assert payload["serve"]["engine_parity_kelvin"] <= 1e-8
 
     def test_run_transient_config(self, tmp_path, capsys, monkeypatch):
-        import repro.experiments.common as common
         from repro.api import scenario_for
 
-        monkeypatch.setattr(common, "DEFAULT_CACHE_DIR", tmp_path / "cache")
+        monkeypatch.setattr("repro.api.service.DEFAULT_CACHE_DIR",
+                            tmp_path / "cache")
         scenario = scenario_for("transient", scale="test")
         scenario.name = "cli_transient_smoke"
         scenario.training.iterations = 3

@@ -10,13 +10,13 @@ Covers the capabilities the paper claims or defers:
 import numpy as np
 import pytest
 
+from repro.api import scenario_for
 from repro.bc import ConvectionBC, DirichletBC
 from repro.core import (
     ChipConfig,
     DirichletInput,
     HTCMapInput,
     VolumetricPowerMapInput,
-    experiment_volumetric,
 )
 from repro.core.losses import PhysicsLossBuilder
 from repro.fdm import solve_steady
@@ -204,16 +204,16 @@ class TestVolumetricPowerMapInput:
 
 class TestVolumetricPreset:
     def test_construction(self):
-        setup = experiment_volumetric(scale="test")
+        setup = scenario_for("volumetric", scale="test").compile()
         assert setup.model.inputs[0].residual_kind == "volumetric"
         assert setup.name == "experiment_volumetric"
         with pytest.raises(ValueError, match="unknown scale"):
-            experiment_volumetric(scale="paper")
+            scenario_for("volumetric", scale="paper").compile()
 
     def test_trained_extension_beats_untrained(self):
-        setup = experiment_volumetric(scale="test", seed=1)
+        setup = scenario_for("volumetric", scale="test", seed=1).compile()
         setup.make_trainer().run()
-        fresh = experiment_volumetric(scale="test", seed=42)
+        fresh = scenario_for("volumetric", scale="test", seed=42).compile()
         rng = np.random.default_rng(9)
         raw = setup.model.inputs[0].sample(rng, 1)[0]
         design = {"power_map_3d": raw}

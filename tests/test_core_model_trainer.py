@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.api import scenario_for
 from repro.core import (
     DeepOHeat,
     MeshCollocation,
     RandomCollocation,
     Trainer,
     TrainerConfig,
-    experiment_a,
-    experiment_b,
 )
 from repro.fdm import solve_steady
 from repro.geometry import StructuredGrid, paper_chip_a
@@ -20,18 +19,18 @@ T_AMB = 298.15
 
 @pytest.fixture(scope="module")
 def setup_a():
-    return experiment_a(scale="test")
+    return scenario_for("a", scale="test").compile()
 
 
 @pytest.fixture(scope="module")
 def setup_b():
-    return experiment_b(scale="test")
+    return scenario_for("b", scale="test").compile()
 
 
 @pytest.fixture(scope="module")
 def trained_a():
     """A briefly-trained Experiment-A model shared by the module's tests."""
-    setup = experiment_a(scale="test", seed=3)
+    setup = scenario_for("a", scale="test", seed=3).compile()
     history = setup.make_trainer().run()
     return setup, history
 
@@ -39,9 +38,9 @@ def trained_a():
 class TestPresetConstruction:
     def test_scales_available(self):
         with pytest.raises(ValueError, match="unknown scale"):
-            experiment_a(scale="huge")
+            scenario_for("a", scale="huge").compile()
         with pytest.raises(ValueError, match="unknown scale"):
-            experiment_b(scale="huge")
+            scenario_for("b", scale="huge").compile()
 
     def test_experiment_a_wiring(self, setup_a):
         assert setup_a.model.net.n_inputs == 1
@@ -57,7 +56,7 @@ class TestPresetConstruction:
         assert setup_b.plan.aligned
 
     def test_paper_scale_matches_reported_architecture(self):
-        setup = experiment_a(scale="paper")
+        setup = scenario_for("a", scale="paper").compile()
         branch = setup.model.net.branches[0]
         assert branch.layer_sizes[0] == 441
         assert branch.layer_sizes[1:-1] == [256] * 9
@@ -69,7 +68,7 @@ class TestPresetConstruction:
         assert setup.trainer_config.n_functions == 50
 
     def test_paper_scale_b_settings(self):
-        setup = experiment_b(scale="paper")
+        setup = scenario_for("b", scale="paper").compile()
         assert setup.model.net.branches[0].layer_sizes[1:-1] == [20] * 5
         assert setup.model.net.trunk.fourier.std == pytest.approx(np.pi)
 
@@ -149,7 +148,7 @@ class TestTraining:
 
     def test_trained_model_beats_untrained(self, trained_a):
         setup, _ = trained_a
-        fresh = experiment_a(scale="test", seed=99)
+        fresh = scenario_for("a", scale="test", seed=99).compile()
         uniform = np.ones(setup.model.inputs[0].map_shape)
         grid = StructuredGrid(paper_chip_a(), (7, 7, 5))
         reference = solve_steady(
@@ -215,7 +214,7 @@ class TestPrediction:
 
 class TestPersistence:
     def test_save_load_roundtrip(self, setup_a, tmp_path):
-        clone = experiment_a(scale="test", seed=123)
+        clone = scenario_for("a", scale="test", seed=123).compile()
         path = tmp_path / "model.npz"
         setup_a.model.save(path, meta={"note": "unit-test"})
         loaded_meta = clone.model.load(path)
@@ -231,9 +230,9 @@ class TestPersistence:
 
 class TestAdaptiveBalancing:
     def test_balancing_updates_weights(self):
-        from repro.core import experiment_b, Trainer, TrainerConfig
+        from repro.core import Trainer, TrainerConfig
 
-        setup = experiment_b(scale="test", seed=2)
+        setup = scenario_for("b", scale="test", seed=2).compile()
         setup.model.builder.weights = {}
         cfg = TrainerConfig(
             iterations=6, n_functions=3, balance_every=2, log_every=3, seed=0
@@ -249,9 +248,9 @@ class TestAdaptiveBalancing:
         )
 
     def test_balancing_respects_clip(self):
-        from repro.core import experiment_b, Trainer, TrainerConfig
+        from repro.core import Trainer, TrainerConfig
 
-        setup = experiment_b(scale="test", seed=3)
+        setup = scenario_for("b", scale="test", seed=3).compile()
         setup.model.builder.weights = {}
         cfg = TrainerConfig(
             iterations=4, n_functions=3, balance_every=1, balance_clip=5.0,
@@ -262,9 +261,9 @@ class TestAdaptiveBalancing:
             assert 1.0 / 5.0 - 1e-9 <= weight <= 5.0 + 1e-9
 
     def test_balancing_off_by_default(self):
-        from repro.core import experiment_a, Trainer, TrainerConfig
+        from repro.core import Trainer, TrainerConfig
 
-        setup = experiment_a(scale="test", seed=4)
+        setup = scenario_for("a", scale="test", seed=4).compile()
         before = dict(setup.model.builder.weights)
         cfg = TrainerConfig(iterations=3, n_functions=2, log_every=2, seed=0)
         Trainer(setup.model, setup.plan, cfg).run()

@@ -3,19 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.core import experiment_a, experiment_b
+from repro.api import scenario_for
 from repro.engine import CompiledSurrogate, FrozenMIONet
 from repro.geometry import StructuredGrid
 
 
 @pytest.fixture(scope="module")
 def setup_a():
-    return experiment_a(scale="test")
+    return scenario_for("a", scale="test").compile()
 
 
 @pytest.fixture(scope="module")
 def setup_b():
-    return experiment_b(scale="test")
+    return scenario_for("b", scale="test").compile()
 
 
 def _designs_a(setup, n=6, seed=0):
@@ -176,7 +176,7 @@ class TestTrunkCache:
         assert engine.cache_info().misses == 4
 
     def test_live_view_engine_tracks_weight_updates(self):
-        setup = experiment_a(scale="test", seed=11)
+        setup = scenario_for("a", scale="test", seed=11).compile()
         model = setup.model
         grid = setup.eval_grid
         design = _designs_a(setup, n=1)[0]
@@ -192,7 +192,7 @@ class TestTrunkCache:
         assert np.abs(after - legacy).max() <= 1e-10
 
     def test_snapshot_engine_is_immune_to_weight_updates(self):
-        setup = experiment_a(scale="test", seed=12)
+        setup = scenario_for("a", scale="test", seed=12).compile()
         model = setup.model
         grid = setup.eval_grid
         design = _designs_a(setup, n=1)[0]

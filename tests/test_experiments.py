@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.api import ThermalService, scenario_for
 from repro.experiments import (
     evaluate_power_map,
     fdm_scaling_curve,
     figure4_maps,
     figure4_text,
-    get_trained_setup,
     htc_design_sweep,
     run_experiment_a,
     run_experiment_b,
@@ -17,25 +17,31 @@ from repro.experiments import (
 from repro.power import paper_test_suite
 
 
+def _trained_setup(name, cache_dir, force_retrain=False):
+    """Train the test-scale preset into ``cache_dir`` (or load it)."""
+    scenario = scenario_for(name, scale="test")
+    service = ThermalService(cache_dir=cache_dir)
+    service.train(scenario, force_retrain=force_retrain)
+    return service.setup(scenario)
+
+
 @pytest.fixture(scope="module")
 def tiny_a(tmp_path_factory):
-    cache = tmp_path_factory.mktemp("cache_a")
-    return get_trained_setup("a", scale="test", cache_dir=cache)
+    return _trained_setup("a", tmp_path_factory.mktemp("cache_a"))
 
 
 @pytest.fixture(scope="module")
 def tiny_b(tmp_path_factory):
-    cache = tmp_path_factory.mktemp("cache_b")
-    return get_trained_setup("b", scale="test", cache_dir=cache)
+    return _trained_setup("b", tmp_path_factory.mktemp("cache_b"))
 
 
 class TestModelCache:
     def test_cache_roundtrip(self, tmp_path):
-        first = get_trained_setup("a", scale="test", cache_dir=tmp_path)
+        first = _trained_setup("a", tmp_path)
         files = list(tmp_path.glob("*.npz"))
         assert len(files) == 1
         # Second call must load, not retrain: parameters identical.
-        second = get_trained_setup("a", scale="test", cache_dir=tmp_path)
+        second = _trained_setup("a", tmp_path)
         for (na, pa), (nb, pb) in zip(
             first.model.net.named_parameters(), second.model.net.named_parameters()
         ):
@@ -44,13 +50,11 @@ class TestModelCache:
 
     def test_unknown_experiment_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown experiment"):
-            get_trained_setup("z", cache_dir=tmp_path)
+            _trained_setup("z", tmp_path)
 
     def test_force_retrain(self, tmp_path):
-        get_trained_setup("a", scale="test", cache_dir=tmp_path)
-        setup = get_trained_setup(
-            "a", scale="test", cache_dir=tmp_path, force_retrain=True
-        )
+        _trained_setup("a", tmp_path)
+        setup = _trained_setup("a", tmp_path, force_retrain=True)
         assert setup.model is not None
 
 

@@ -430,9 +430,8 @@ class TestServiceFamily:
 class TestFamilyCli:
     @pytest.fixture()
     def cache(self, tmp_path, monkeypatch):
-        from repro.experiments import common
-
-        monkeypatch.setattr(common, "DEFAULT_CACHE_DIR", tmp_path / "cache")
+        monkeypatch.setattr("repro.api.service.DEFAULT_CACHE_DIR",
+                            tmp_path / "cache")
         return tmp_path
 
     def _write_family(self, tmp_path) -> Path:

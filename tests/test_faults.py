@@ -32,7 +32,7 @@ import pytest
 
 from repro import faults
 from repro.api import CheckpointCorrupt, ThermalService, scenario_for
-from repro.core import Trainer, TrainerConfig, experiment_a
+from repro.core import Trainer, TrainerConfig
 from repro.nn.serialize import read_payload
 from repro.serve import (
     MicroBatcher,
@@ -203,13 +203,13 @@ class TestFaultPlan:
 class TestTrainerChaos:
     def test_interrupted_resume_is_bitwise(self, tmp_path):
         ckpt = str(tmp_path / "state.train.npz")
-        reference = experiment_a(scale="test", seed=0)
+        reference = scenario_for("a", scale="test", seed=0).compile()
         cfg = TrainerConfig(iterations=10, n_functions=4, log_every=3,
                             seed=0)
         full = Trainer(reference.model, reference.plan, cfg).run()
         expected = _weights(reference)
 
-        cut = experiment_a(scale="test", seed=0)
+        cut = scenario_for("a", scale="test", seed=0).compile()
         cfg_ck = TrainerConfig(iterations=10, n_functions=4, log_every=3,
                                seed=0, checkpoint_every=3)
         plan = faults.FaultPlan(rules=[
@@ -223,7 +223,7 @@ class TestTrainerChaos:
         assert os.path.exists(ckpt)
 
         # Resume on a FRESH model (exactly the post-kill situation).
-        resumed = experiment_a(scale="test", seed=0)
+        resumed = scenario_for("a", scale="test", seed=0).compile()
         history = Trainer(resumed.model, resumed.plan, cfg_ck).run(
             checkpoint_path=ckpt, resume=True
         )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import experiment_a
+from repro.api import scenario_for
 from repro.floorplan import (
     Floorplan,
     FunctionalBlock,
@@ -114,7 +114,7 @@ class TestAnnealing:
 class TestSurrogateObjective:
     @pytest.fixture(scope="class")
     def objective(self):
-        setup = experiment_a(scale="test", seed=21)
+        setup = scenario_for("a", scale="test", seed=21).compile()
         setup.make_trainer().run()
         grid = StructuredGrid(paper_chip_a(), (7, 7, 5))
         return SurrogatePeakObjective(setup.model, grid)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import experiment_a, experiment_b
+from repro.api import scenario_for
 from repro.experiments import run_experiment_a, run_experiment_b
 from repro.geometry import StructuredGrid
 from repro.power import paper_test_suite
@@ -23,14 +23,14 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.fixture(scope="module")
 def trained_a():
-    setup = experiment_a(scale="test", seed=7)
+    setup = scenario_for("a", scale="test", seed=7).compile()
     setup.make_trainer().run()
     return setup
 
 
 @pytest.fixture(scope="module")
 def trained_b():
-    setup = experiment_b(scale="test", seed=7)
+    setup = scenario_for("b", scale="test", seed=7).compile()
     setup.make_trainer().run()
     return setup
 

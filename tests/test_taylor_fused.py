@@ -22,12 +22,18 @@ import pytest
 
 from repro import autodiff as ad
 from repro import nn
-from repro.core import experiment_a, experiment_b
+from repro.api import scenario_for
 from repro.core.sampler import MeshCollocation
 from repro.core.trainer import Trainer
 from repro.nn.taylor import trunk_stacked, trunk_with_derivatives
 
 ATOL = 1e-12
+
+# Experiments A and B, with the preset names as test ids.
+PRESETS = [
+    pytest.param("a", id="experiment_a"),
+    pytest.param("b", id="experiment_b"),
+]
 
 
 def _trunk(activation="swish", seed=0, with_fourier=True):
@@ -156,11 +162,11 @@ class TestStackedStreamParity:
 
 
 class TestPhysicsLossGradientParity:
-    @pytest.mark.parametrize("preset", [experiment_a, experiment_b])
+    @pytest.mark.parametrize("preset", PRESETS)
     def test_parameter_gradients_match(self, preset):
         """d(loss)/d(theta) agrees between stacked and legacy through the
         full physics loss (cartesian for A, aligned for B)."""
-        setup = preset(scale="test")
+        setup = scenario_for(preset, scale="test").compile()
         rng = np.random.default_rng(0)
         raws = [ci.sample(rng, 4) for ci in setup.model.inputs]
         batch = setup.plan.batch(rng, 4)
@@ -188,7 +194,7 @@ class TestSelectiveCombineCoverage:
         from repro.core.model import DeepOHeat
         from repro.geometry import Face
 
-        setup = experiment_a(scale="test")
+        setup = scenario_for("a", scale="test").compile()
         model = setup.model
         patched = DeepOHeat(
             model.config.with_bc(Face.XMIN, DirichletBC(300.0)),
@@ -203,7 +209,7 @@ class TestSelectiveCombineCoverage:
         assert total_fused.item() == pytest.approx(total_legacy.item(), rel=1e-12)
 
     def test_requirements_match_residual_branching(self):
-        setup = experiment_a(scale="test")
+        setup = scenario_for("a", scale="test").compile()
         requirements = setup.model.builder.stream_requirements()
         assert requirements["interior"] == ("laplacian",)
         assert requirements["TOP"] == ("grad2",)          # neumann power map
@@ -212,13 +218,13 @@ class TestSelectiveCombineCoverage:
 
 
 class TestTrainerDeterminism:
-    @pytest.mark.parametrize("preset", [experiment_a, experiment_b])
+    @pytest.mark.parametrize("preset", PRESETS)
     def test_identical_loss_history(self, preset):
         """Same seed, both propagation paths -> the same loss trajectory
         (<= 1e-10 relative; in practice they agree to machine epsilon)."""
         histories = []
         for stacked in (False, True):
-            setup = preset(scale="test")
+            setup = scenario_for(preset, scale="test").compile()
             cfg = replace(
                 setup.trainer_config, iterations=6, stacked=stacked, log_every=1
             )
@@ -324,7 +330,7 @@ class TestOptimizerSatellites:
 
 class TestMeshCollocationCache:
     def test_batch_is_precomputed_and_reused(self):
-        setup = experiment_a(scale="test")
+        setup = scenario_for("a", scale="test").compile()
         assert isinstance(setup.plan, MeshCollocation)
         rng = np.random.default_rng(0)
         a = setup.plan.batch(rng, 3)

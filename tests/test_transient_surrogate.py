@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from repro import autodiff as ad
-from repro.core import Trainer, experiment_a, experiment_transient
+from repro.api import ThermalService, scenario_for
+from repro.core import Trainer
 from repro.experiments import (
-    get_trained_setup,
     heldout_scenarios,
     run_experiment_c,
     steady_convergence_callback,
@@ -34,13 +34,15 @@ from repro.power.traces import (
 @pytest.fixture(scope="module")
 def tiny_setup():
     """An untrained test-scale transient setup (fresh weights)."""
-    return experiment_transient(scale="test")
+    return scenario_for("transient", scale="test").compile()
 
 
 @pytest.fixture(scope="module")
 def trained_transient(tmp_path_factory):
-    cache = tmp_path_factory.mktemp("cache_transient")
-    return get_trained_setup("transient", scale="test", cache_dir=cache)
+    scenario = scenario_for("transient", scale="test")
+    service = ThermalService(cache_dir=tmp_path_factory.mktemp("cache_transient"))
+    service.train(scenario)
+    return service.setup(scenario)
 
 
 def _design(setup, seed=0):
@@ -178,7 +180,7 @@ class TestTransientCollocation:
         np.testing.assert_allclose(si_time, hat_time * plan.horizon)
 
     def test_trainer_rejects_steady_plan_for_transient_model(self, tiny_setup):
-        steady = experiment_a(scale="test")
+        steady = scenario_for("a", scale="test").compile()
         with pytest.raises(ValueError, match="transient mode mismatch"):
             Trainer(tiny_setup.model, steady.plan)
         with pytest.raises(ValueError, match="transient mode mismatch"):
@@ -358,7 +360,7 @@ class TestRolloutServing:
         assert second.entries == 1
 
     def test_steady_engine_rejects_times(self):
-        steady = experiment_a(scale="test")
+        steady = scenario_for("a", scale="test").compile()
         engine = steady.model.compile()
         with pytest.raises(ValueError, match="transient"):
             engine.predict_rollout(
@@ -380,7 +382,7 @@ class TestEndToEnd:
     def test_training_improves_loss(self, trained_transient):
         # The disk-cached checkpoint stores its final loss; retrain a few
         # iterations to confirm the loop runs and the ic part is live.
-        setup = experiment_transient(scale="test")
+        setup = scenario_for("transient", scale="test").compile()
         cfg = setup.trainer_config
         cfg.iterations = 30
         cfg.log_every = 29
