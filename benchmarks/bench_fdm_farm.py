@@ -22,15 +22,17 @@ the parity and energy contracts are asserted: throughput ratios on
 loaded CI runners are noise.
 
 PR 9 adds the **mesh-scaling ladder**: the same 4-design sweep climbed
-across grid sizes, solved by every tier (``lu`` / ``block_cg`` /
-``recycled``) that fits, with wall time + peak RSS per tier and a final
-rung whose estimated CSR + LU fill footprint exceeds the farm byte
-budget — the ``lu`` tier is shown *refusing* up front
-(:class:`~repro.fdm.MemoryBudgetExceeded`) while ``solver="auto"``
-degrades to the matrix-free recycled tier and completes.  Peak RSS is
-the process high-water mark (``ru_maxrss``) sampled after each tier;
-tiers run in ascending memory order (recycled → block_cg → lu) so each
-increment is attributable to the tier that caused it.
+across grid sizes, solved by both tiers (``block_cg`` / ``lu``), with
+wall time + peak RSS per tier and a final rung whose estimated CSR + LU
+fill footprint exceeds the farm byte budget — the ``lu`` tier is shown
+*refusing* up front (:class:`~repro.fdm.MemoryBudgetExceeded`) while
+``solver="auto"`` degrades to ``block_cg`` and completes.  The budget
+caps the direct tier only, so that run's resident memory may exceed
+it.  Peak RSS is the process high-water mark (``ru_maxrss``) sampled
+after each tier; tiers run in ascending memory order (block_cg → lu) so
+each increment is attributable to the tier that caused it.  The large
+rung also records the mark it started from (``rss_before_kb``): when
+the two are equal, the rung stayed under an earlier tier's peak.
 
 Run with ``pytest benchmarks/bench_fdm_farm.py``; measured numbers land
 in ``benchmarks/out/fdm_farm.txt`` and ``benchmarks/out/fdm_scaling.json``
@@ -39,6 +41,7 @@ committed perf trajectory).
 """
 
 import json
+import os
 import resource
 import time
 
@@ -156,11 +159,11 @@ def test_farm_sweep_throughput_and_parity(out_dir):
 # ----------------------------------------------------------------------
 LADDER = (9, 13, 17) if SMOKE else (17, 25, 33)
 LARGE = 21 if SMOKE else 97
-# Chosen so at the large rung the CSR+LU estimate AND 3x CSR both exceed
-# the budget: explicit lu refuses, auto degrades to matrix-free recycled.
+# Chosen so at the large rung the CSR+LU estimate exceeds the budget:
+# explicit lu refuses, auto degrades to block_cg (which it does not cap).
 LARGE_BUDGET = 4_000_000 if SMOKE else 256 * 1024 * 1024
 LADDER_DESIGNS = 4
-TIER_ORDER = ("recycled", "block_cg", "lu")  # ascending resident memory
+TIER_ORDER = ("block_cg", "lu")  # ascending resident memory
 
 
 def _ladder_problems(side):
@@ -193,11 +196,10 @@ def _tier_iterations(farm):
 def test_mesh_scaling_ladder(out_dir):
     """Every tier climbs the ladder; LU refuses the rung it cannot fit.
 
-    Contracts: block_cg and recycled match LU to <= 1e-8 K wherever LU
-    fits; every tier's energy audit balances to <= 1e-8; at the large
-    rung explicit ``solver="lu"`` raises
-    :class:`~repro.fdm.MemoryBudgetExceeded` while ``solver="auto"``
-    degrades to the recycled tier and completes.
+    Contracts: block_cg matches LU to <= 1e-8 K wherever LU fits; every
+    tier's energy audit balances to <= 1e-8; at the large rung explicit
+    ``solver="lu"`` raises :class:`~repro.fdm.MemoryBudgetExceeded`
+    while ``solver="auto"`` degrades to ``block_cg`` and completes.
     """
     rungs = []
     for side in LADDER:
@@ -225,16 +227,15 @@ def test_mesh_scaling_ladder(out_dir):
             if tier == "lu":
                 reference = solutions
             tiers[tier] = (record, solutions)
-        for tier in ("recycled", "block_cg"):
-            record, solutions = tiers[tier]
-            max_dev = max(
-                float(np.abs(s.temperature - r.temperature).max())
-                for s, r in zip(solutions, reference)
-            )
-            assert max_dev <= MAX_ABS_DEV, (
-                f"{tier}@{side}^3 deviates from lu by {max_dev} K"
-            )
-            record["max_dev_vs_lu_K"] = max_dev
+        record, solutions = tiers["block_cg"]
+        max_dev = max(
+            float(np.abs(s.temperature - r.temperature).max())
+            for s, r in zip(solutions, reference)
+        )
+        assert max_dev <= MAX_ABS_DEV, (
+            f"block_cg@{side}^3 deviates from lu by {max_dev} K"
+        )
+        record["max_dev_vs_lu_K"] = max_dev
         rungs.append(
             {
                 "shape": [side, side, side],
@@ -245,22 +246,21 @@ def test_mesh_scaling_ladder(out_dir):
             }
         )
 
-    # The rung the direct tier cannot climb: CSR+LU (and 3x CSR) exceed
-    # the budget, so lu refuses up front and auto goes matrix-free.
+    # The rung the direct tier cannot climb: CSR+LU exceeds the budget,
+    # so lu refuses up front and auto degrades to block_cg.
     n = LARGE**3
     lu_footprint = estimate_csr_bytes(n) + estimate_lu_bytes(n)
     assert lu_footprint > LARGE_BUDGET
-    assert 3 * estimate_csr_bytes(n) > LARGE_BUDGET
     problems = _ladder_problems(LARGE)
     farm = SolveFarm(max_bytes=LARGE_BUDGET)
     with pytest.raises(MemoryBudgetExceeded) as refusal:
         farm.solve_many(problems, solver="lu")
     farm = SolveFarm(max_bytes=LARGE_BUDGET)
+    rss_before_kb = _rss_kb()
     start = time.perf_counter()
     solutions = farm.solve_many(problems, solver="auto")
     seconds = time.perf_counter() - start
-    assert solutions[0].info["solver"] == "recycled"
-    assert solutions[0].info["matrix_free"]
+    assert solutions[0].info["solver"] == "block_cg"
     worst_energy = max(
         abs(s.info["energy"].relative_imbalance) for s in solutions
     )
@@ -273,8 +273,9 @@ def test_mesh_scaling_ladder(out_dir):
         "csr_bytes_est": estimate_csr_bytes(n),
         "lu_refused": True,
         "refusal": str(refusal.value),
-        "auto_tier": "recycled",
+        "auto_tier": "block_cg",
         "seconds": round(seconds, 4),
+        "rss_before_kb": rss_before_kb,
         "peak_rss_kb": _rss_kb(),
         "iterations": _tier_iterations(farm),
         "worst_energy_imbalance": worst_energy,
@@ -283,6 +284,7 @@ def test_mesh_scaling_ladder(out_dir):
     report = {
         "n_designs": LADDER_DESIGNS,
         "smoke": SMOKE,
+        "cpu_count": os.cpu_count(),
         "tier_order": list(TIER_ORDER),
         "ladder": rungs,
         "large": large,
@@ -305,7 +307,7 @@ def test_mesh_scaling_ladder(out_dir):
         f"{LARGE_BUDGET / 1e6:.0f} MB)"
     )
     lines.append(
-        f"{LARGE:>3}^3 auto->recycled: {large['seconds']:8.3f} s  "
+        f"{LARGE:>3}^3 auto->block_cg: {large['seconds']:8.3f} s  "
         f"rss {large['peak_rss_kb'] / 1024:7.1f} MB  "
         f"iters {large['iterations']}"
     )

@@ -529,11 +529,11 @@ class ThermalService:
         cache residency (and therefore recompute cost) varies.
     solver:
         Solver tier for every reference FDM solve the session issues
-        (``"auto"`` / ``"lu"`` / ``"block_cg"`` / ``"recycled"``, see
+        (``"auto"`` / ``"lu"`` / ``"block_cg"``, see
         :meth:`repro.fdm.SolveFarm.solve_many` and ``docs/solvers.md``).
         ``None`` (default) keeps the farm's exact direct path.  With a
         ``memory_budget``, ``"auto"`` lets grids whose LU factorization
-        cannot fit the budget degrade to the iterative tiers instead of
+        cannot fit the budget degrade to ``"block_cg"`` instead of
         thrashing the cache.
 
     A service is a context manager: ``with ThermalService(...) as s:``

@@ -75,10 +75,7 @@ def generate_dataset(
     its own :func:`spawn_seeds` child stream, so the dataset depends
     only on ``(seed, n_samples)``.
     ``solver`` selects the farm tier for the labelling solves
-    (``"auto"``/``"lu"``/``"block_cg"``/``"recycled"``): the recycled
-    tier is the data-generation regime the block-Krylov recipe targets —
-    every chunk reuses one operator, so the deflation basis harvested
-    from the first block accelerates all the rest.
+    (``"auto"``/``"lu"``/``"block_cg"``).
     """
     if (rng is None) == (seed is None):
         raise ValueError("pass exactly one of rng= or seed=")

@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="DeepOHeat reproduction (DAC 2023) command-line tools",
     )
     parser.add_argument(
-        "--solver", choices=["auto", "lu", "block_cg", "recycled"],
+        "--solver", choices=["auto", "lu", "block_cg"],
         default=None,
         help="FDM solver tier for reference solves (default: exact LU, "
              "the same answers as 'lu'; a memory budget only evicts). "

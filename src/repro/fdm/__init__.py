@@ -22,9 +22,6 @@ from .farm import (
 )
 from .krylov import (
     MemoryBudgetExceeded,
-    RecycleBasis,
-    StencilOperator,
-    assemble_stencil,
     block_pcg,
     choose_tier,
     estimate_lu_bytes,
@@ -56,16 +53,13 @@ __all__ = [
     "MemoryBudgetExceeded",
     "OperatorPart",
     "RHSPart",
-    "RecycleBasis",
     "SolveFarm",
-    "StencilOperator",
     "ThermalSolution",
     "TransientResult",
     "TransientSolver",
     "assemble",
     "assemble_operator",
     "assemble_rhs",
-    "assemble_stencil",
     "block_pcg",
     "choose_tier",
     "compose_system",

@@ -139,15 +139,6 @@ class OperatorPart:
         """Node count of the grid."""
         return int(self.points.shape[0])
 
-    def apply_raw(self, x: np.ndarray) -> np.ndarray:
-        """Apply the pre-elimination operator to ``x``.
-
-        Part of the operator protocol shared with the matrix-free
-        :class:`~repro.fdm.krylov.StencilOperator`, so RHS assembly and
-        energy audits work against either representation.
-        """
-        return self.matrix_raw @ x
-
 
 @dataclass
 class RHSPart:
@@ -445,7 +436,7 @@ def assemble_rhs(problem: HeatProblem, operator: OperatorPart) -> RHSPart:
         mask = operator.dirichlet_mask
         known = np.zeros(n)
         known[mask] = dirichlet_values[mask]
-        rhs_vector = rhs_vector - operator.apply_raw(known)
+        rhs_vector = rhs_vector - operator.matrix_raw @ known
         rhs_vector[mask] = dirichlet_values[mask]
 
     return RHSPart(

@@ -27,11 +27,9 @@ knob.  ``None`` (the default) and ``"lu"`` run the exact direct path
 above; ``"lu"`` adds an up-front byte-budget refusal
 (:class:`~repro.fdm.krylov.MemoryBudgetExceeded`), while under ``None``
 a byte budget only drives eviction.  ``"block_cg"`` is CSR-backed
-Jacobi-scaled block CG, ``"recycled"`` is matrix-free deflated block CG
-whose :class:`~repro.fdm.krylov.RecycleBasis` carries solved subspaces
-across blocks and repeat sweeps, and ``"auto"`` picks per operator from
-the byte budget (:func:`~repro.fdm.krylov.choose_tier`) — grids whose LU
-fill cannot fit degrade to the iterative tiers instead of failing.
+Jacobi-scaled block CG, and ``"auto"`` picks per operator from the byte
+budget (:func:`~repro.fdm.krylov.choose_tier`) — grids whose LU fill
+cannot fit degrade to ``block_cg`` instead of failing.
 
 Every solution carries the same :class:`~repro.fdm.solver.EnergyReport`
 audit as the per-design path.  A call with one operator digest is
@@ -66,15 +64,10 @@ from .assembly import (
 from .krylov import (
     TIERS,
     MemoryBudgetExceeded,
-    RecycleBasis,
-    StencilCore,
-    StencilOperator,
-    assemble_stencil,
     block_pcg,
     choose_tier,
     estimate_csr_bytes,
     estimate_lu_bytes,
-    stencil_energy_report,
 )
 from .solver import ThermalSolution, energy_report
 
@@ -85,10 +78,9 @@ class FarmStats:
 
     Besides the scalar counters, ``iterations_by_digest`` accumulates
     the per-block iteration counts of every iterative solve (the
-    ``block_cg`` / ``recycled`` tiers and HTC siblings), keyed by
-    the 16-char digest prefix — one entry per solved block, in solve
-    order, so recycling's iteration drop across a digest group is
-    directly observable (see :meth:`SolveFarm.cache_stats`).
+    ``block_cg`` tier and HTC siblings), keyed by the 16-char digest
+    prefix — one entry per solved block, in solve order (see
+    :meth:`SolveFarm.cache_stats`).
     """
 
     operator_hits: int = 0
@@ -135,33 +127,20 @@ def _sparse_nbytes(matrix) -> int:
 
 @dataclass
 class _CachedOperator:
-    """One LRU slot: an operator in whichever representations were built.
+    """One LRU slot: a CSR operator plus what was built on it.
 
-    ``operator`` (CSR + lazily-built SuperLU / scaled CG system) and
-    ``stencil`` (matrix-free, with its scaled core, Jacobi scale and
-    recycle basis) are both optional: a slot populated only through the
-    ``recycled`` tier never materializes a sparse matrix at all, which
-    is the point of that tier.  Both halves share the digest key, so a
-    problem solved under different tiers occupies one slot.
+    The SuperLU factorization (direct tier) and the Jacobi-scaled CG
+    system (``block_cg`` tier) are built lazily, so a problem solved
+    under both tiers occupies one slot.
     """
 
-    operator: Optional[OperatorPart] = None
+    operator: OperatorPart
     lu: Optional[spla.SuperLU] = None
     assembly_seconds: float = 0.0
     factor_seconds: float = 0.0
     # Jacobi-scaled system for the block_cg tier, built on first use.
     cg_scale: Optional[np.ndarray] = None
     cg_matrix: Optional[sp.csr_matrix] = None
-    # Matrix-free half (recycled tier).
-    stencil: Optional[StencilOperator] = None
-    stencil_scale: Optional[np.ndarray] = None
-    scaled_core: Optional[StencilCore] = None
-    basis: Optional[RecycleBasis] = None
-
-    @property
-    def operator_like(self):
-        """Whichever representation can assemble RHS / audit energy."""
-        return self.operator if self.operator is not None else self.stencil
 
     @property
     def nbytes(self) -> int:
@@ -173,24 +152,14 @@ class _CachedOperator:
         fill dominates by orders of magnitude at any real grid, so the
         byte budget tracks what actually matters.
         """
-        total = 0
-        if self.operator is not None:
-            total += _sparse_nbytes(self.operator.matrix)
-            if self.lu is not None:
-                n = self.operator.matrix.shape[0]
-                total += int(self.lu.nnz) * 12 + 8 * n
+        total = _sparse_nbytes(self.operator.matrix)
+        if self.lu is not None:
+            n = self.operator.matrix.shape[0]
+            total += int(self.lu.nnz) * 12 + 8 * n
         if self.cg_matrix is not None:
             total += _sparse_nbytes(self.cg_matrix)
         if self.cg_scale is not None:
             total += self.cg_scale.nbytes
-        if self.stencil is not None:
-            total += self.stencil.nbytes
-        if self.scaled_core is not None:
-            total += self.scaled_core.nbytes
-        if self.stencil_scale is not None:
-            total += self.stencil_scale.nbytes
-        if self.basis is not None:
-            total += self.basis.nbytes
         return total
 
 
@@ -198,16 +167,9 @@ class _CachedOperator:
 SIBLING_TOL = 1e-14
 SIBLING_MAX_ITER = 10
 
-#: Per-column relative residual stop of the ``block_cg`` / ``recycled``
-#: tiers (measured parity vs LU at this tolerance is ~1e-10 K).
+#: Per-column relative residual stop of the ``block_cg`` tier (measured
+#: parity vs LU at this tolerance is ~1e-10 K).
 TIER_TOL = 1e-12
-
-#: The ``recycled`` tier solves a digest group in sub-blocks of
-#: ``RECYCLE_BLOCK`` columns, harvesting up to ``RECYCLE_VECTORS``
-#: deflation vectors from earlier sub-blocks into the group's
-#: :class:`~repro.fdm.krylov.RecycleBasis`.
-RECYCLE_BLOCK = 8
-RECYCLE_VECTORS = 16
 
 
 def _sibling_cg(
@@ -248,8 +210,8 @@ def _sibling_cg(
 def _check_solver(solver: Optional[str]) -> None:
     if solver is not None and solver != "auto" and solver not in TIERS:
         raise ValueError(
-            f"unknown solver {solver!r}; use None, 'auto', 'lu', "
-            "'block_cg' or 'recycled'"
+            f"unknown solver {solver!r}; use None, 'auto', 'lu' or "
+            "'block_cg'"
         )
 
 
@@ -301,9 +263,8 @@ class SolveFarm:
     solver:
         Default solver for :meth:`solve_many` (per-call overridable):
         ``None`` (exact LU, the budget only evicts), ``"lu"`` (exact LU,
-        refused up front over the budget), ``"block_cg"``,
-        ``"recycled"`` or ``"auto"`` (see the module docstring and
-        ``docs/solvers.md``).
+        refused up front over the budget), ``"block_cg"`` or ``"auto"``
+        (see the module docstring and ``docs/solvers.md``).
     """
 
     def __init__(
@@ -329,41 +290,24 @@ class SolveFarm:
     # ------------------------------------------------------------------
     # Operator cache
     # ------------------------------------------------------------------
-    def _entry_for_key(
-        self,
-        key: str,
-        problem: HeatProblem,
-        representation: str = "matrix",
-    ) -> _CachedOperator:
-        """The LRU slot for ``key``, with ``representation`` materialized.
-
-        ``representation`` is ``"matrix"`` (CSR operator — the direct
-        and block_cg paths) or ``"stencil"`` (matrix-free — the
-        recycled tier).  A slot that exists but lacks the requested
-        representation builds just that half and still counts as a hit:
-        hits/misses track digest-level reuse, not representations.
-        """
+    def _entry_for_key(self, key: str, problem: HeatProblem) -> _CachedOperator:
+        """The LRU slot for ``key``, assembling its operator on a miss."""
         with self._lock:
             entry = self._cache.get(key)
-            fresh = entry is None
-            if fresh:
+            if entry is None:
                 self.stats.operator_misses += 1
-                entry = _CachedOperator()
-            else:
-                self._cache.move_to_end(key)
-                self.stats.operator_hits += 1
-            if representation == "matrix" and entry.operator is None:
                 start = time.perf_counter()
-                entry.operator = assemble_operator(problem, key=key)
-                entry.assembly_seconds += time.perf_counter() - start
-            elif representation == "stencil" and entry.stencil is None:
-                start = time.perf_counter()
-                entry.stencil = assemble_stencil(problem, key=key)
-                entry.assembly_seconds += time.perf_counter() - start
-            if fresh:
+                operator = assemble_operator(problem, key=key)
+                entry = _CachedOperator(
+                    operator=operator,
+                    assembly_seconds=time.perf_counter() - start,
+                )
                 # Insert only after a successful build, so an ill-posed
                 # problem never leaves an empty slot behind.
                 self._cache[key] = entry
+            else:
+                self._cache.move_to_end(key)
+                self.stats.operator_hits += 1
             self._enforce_budget()
             return entry
 
@@ -435,17 +379,6 @@ class SolveFarm:
             self._enforce_budget()
         return entry.cg_scale, entry.cg_matrix
 
-    def _stencil_system(
-        self, entry: _CachedOperator
-    ) -> Tuple[np.ndarray, StencilCore, RecycleBasis]:
-        """The recycled tier's solve state: scale, scaled core, basis."""
-        if entry.scaled_core is None:
-            entry.stencil_scale, entry.scaled_core = entry.stencil.core.scaled()
-            self._enforce_budget()
-        if entry.basis is None:
-            entry.basis = RecycleBasis(max_vectors=RECYCLE_VECTORS)
-        return entry.stencil_scale, entry.scaled_core, entry.basis
-
     def _resolve_mode(self, solver: Optional[str], n_nodes: int) -> str:
         """Solve mode for one operator group.
 
@@ -453,7 +386,7 @@ class SolveFarm:
         ``"lu"`` is the same direct path but
         *refuses up front* (:class:`~repro.fdm.krylov.MemoryBudgetExceeded`)
         when its estimated CSR + fill footprint cannot fit the farm's
-        byte budget; ``"auto"`` degrades through the tiers instead of
+        byte budget; ``"auto"`` degrades to ``"block_cg"`` instead of
         refusing (:func:`~repro.fdm.krylov.choose_tier`).
         """
         if solver is None:
@@ -469,7 +402,7 @@ class SolveFarm:
                         f"solver='lu' refused: estimated CSR+LU footprint "
                         f"{estimate} B for n={n_nodes} exceeds the farm byte "
                         f"budget {self.max_bytes} B; use solver='auto' (or "
-                        "'block_cg'/'recycled') to degrade instead"
+                        "'block_cg') to degrade instead"
                     )
             return "direct"
         return solver
@@ -489,7 +422,7 @@ class SolveFarm:
         operator (or takes it from the cache), builds all K right-hand
         sides, and solves them as a single ``(n, K)`` block — one SuperLU
         back-substitution on the direct path, one vectorised block-CG run
-        on an iterative tier.  Solutions come back in input order, each
+        on ``block_cg``.  Solutions come back in input order, each
         with its own energy audit and diagnostics.  ``info["factor_time"]``
         is what this call paid to factorize the group (0 on a cache hit or
         for an HTC sibling, whose ``info["preconditioned_by"]`` names the
@@ -497,20 +430,17 @@ class SolveFarm:
 
         ``solver`` (default: the farm's constructor knob) is ``None`` or
         ``"lu"`` (exact direct; ``"lu"`` also refuses up front over the
-        byte budget), ``"block_cg"`` (CSR-backed Jacobi-scaled block CG),
-        ``"recycled"`` (matrix-free deflated block CG with a subspace
-        recycled across blocks and calls) or ``"auto"`` (per-operator
-        choice from the byte budget).  Tiers are chosen per digest group,
-        so one batch may mix them.  The iterative tiers stop at
-        :data:`TIER_TOL` relative residual.
+        byte budget), ``"block_cg"`` (CSR-backed Jacobi-scaled block CG)
+        or ``"auto"`` (per-operator choice from the byte budget).  Tiers
+        are chosen per digest group, so one batch may mix them.  The
+        iterative tier stops at :data:`TIER_TOL` relative residual.
         """
         solver = self.solver if solver is None else solver
         _check_solver(solver)
         solutions: List[Optional[ThermalSolution]] = [None] * len(problems)
         # Group by operator digest, preserving first-seen order.  The
-        # solve mode (and with it the representation to materialize) is
-        # resolved per group: an "auto" batch may run small grids direct
-        # and large grids matrix-free side by side.
+        # solve mode is resolved per group: an "auto" batch may run small
+        # grids direct and large grids on block_cg side by side.
         groups: "OrderedDict[str, List[int]]" = OrderedDict()
         entries: Dict[str, _CachedOperator] = {}
         cached_flags: Dict[str, bool] = {}
@@ -523,11 +453,7 @@ class SolveFarm:
                 modes[key] = mode
                 with self._lock:
                     cached_flags[key] = key in self._cache
-                entries[key] = self._entry_for_key(
-                    key,
-                    problem,
-                    representation="stencil" if mode == "recycled" else "matrix",
-                )
+                entries[key] = self._entry_for_key(key, problem)
             else:
                 self.stats.operator_hits += 1
             groups[key].append(index)
@@ -538,20 +464,13 @@ class SolveFarm:
             mode = modes[key]
             start = time.perf_counter()
             rhs_parts = [
-                assemble_rhs(problems[i], entry.operator_like) for i in indices
+                assemble_rhs(problems[i], entry.operator) for i in indices
             ]
             rhs_seconds = time.perf_counter() - start
             self.stats.rhs_assemblies += len(indices)
             block = np.column_stack([part.rhs for part in rhs_parts])
             prepared.append((key, indices, entry, rhs_parts, rhs_seconds, block, mode))
 
-        # Deflation dims as the solves will *use* them (pre-augment), so
-        # emitted info reports what accelerated this batch, not the
-        # basis it leaves behind.
-        used_dims = {
-            key: 0 if entries[key].basis is None else entries[key].basis.m
-            for key in groups
-        }
         had_lu = {key: entries[key].lu is not None for key in groups}
         pivots = _htc_pivots(
             {k: problems[groups[k][0]] for k in groups if modes[k] == "direct"},
@@ -587,25 +506,6 @@ class SolveFarm:
                 block_solution = scale[:, None] * scaled_solution
                 with self._lock:
                     self.stats.record_block_iterations(key, iterations)
-            else:  # recycled
-                scale, core, basis = self._stencil_system(entry)
-                scaled_block = scale[:, None] * block
-                scaled_solution = np.empty_like(scaled_block)
-                iterations = np.zeros(k_block, dtype=np.int64)
-                # Sub-block splitting is what makes recycling pay within
-                # a single call: block i+1 starts from (and deflates
-                # against) the subspace block i resolved.
-                for lo in range(0, k_block, RECYCLE_BLOCK):
-                    hi = min(lo + RECYCLE_BLOCK, k_block)
-                    sub_solution, sub_iters = block_pcg(
-                        core.apply, scaled_block[:, lo:hi], tol=TIER_TOL, basis=basis
-                    )
-                    scaled_solution[:, lo:hi] = sub_solution
-                    iterations[lo:hi] = sub_iters
-                    with self._lock:
-                        self.stats.record_block_iterations(key, sub_iters)
-                    basis.augment(sub_solution, core.apply)
-                block_solution = scale[:, None] * scaled_solution
             solve_seconds = time.perf_counter() - start
             self._emit_group(
                 solutions,
@@ -621,7 +521,6 @@ class SolveFarm:
                 solve_seconds,
                 0.0 if had_lu[key] else entry.factor_seconds,
                 solver_requested=solver,
-                deflation_used=used_dims[key],
                 preconditioned_by=pivot,
             )
         return solutions  # type: ignore[return-value]
@@ -641,38 +540,22 @@ class SolveFarm:
         solve_seconds: float,
         factor_seconds: float,
         solver_requested: Optional[str] = None,
-        deflation_used: int = 0,
         preconditioned_by: Optional[str] = None,
     ) -> None:
-        """Per-column postprocessing of one solved digest group.
-
-        Branches on representation: matrix-backed modes audit through
-        the CSR operator exactly as before; the ``recycled`` mode audits
-        through the stencil action (same
-        :class:`~repro.fdm.solver.EnergyReport` contract, no matrix).
-        """
-        stencil_mode = mode == "recycled"
-        operator = entry.stencil if stencil_mode else entry.operator
+        """Per-column postprocessing of one solved digest group."""
+        operator = entry.operator
         k_block = len(indices)
         self.stats.block_solves += 1
         self.stats.problems_solved += k_block
         # Costs actually paid this call, amortised over the block; a
         # cache-hit operator charges nothing for its assembly.
         operator_seconds = 0.0 if was_cached else entry.assembly_seconds
-        if stencil_mode:
-            core = operator.core
-            nnz = int(core.diag_raw.size + 2 * sum(c.size for c in core.cond))
-        else:
-            nnz = int(operator.matrix.nnz)
+        nnz = int(operator.matrix.nnz)
         for column, (index, part) in enumerate(zip(indices, rhs_parts)):
             temperature = np.ascontiguousarray(block_solution[:, column])
-            if stencil_mode:
-                report = stencil_energy_report(operator, part, temperature)
-                residual = operator.apply(temperature) - part.rhs
-            else:
-                system = compose_system(operator, part)
-                report = energy_report(system, temperature)
-                residual = operator.matrix @ temperature - part.rhs
+            system = compose_system(operator, part)
+            report = energy_report(system, temperature)
+            residual = operator.matrix @ temperature - part.rhs
             info = {
                 "method": f"farm-{mode}",
                 "operator_key": key[:16],
@@ -697,9 +580,6 @@ class SolveFarm:
                 info["solver"] = "lu" if mode == "direct" else mode
                 if mode != "direct":
                     info["preconditioner"] = "jacobi"
-                if mode == "recycled":
-                    info["deflation_dim"] = deflation_used
-                info["matrix_free"] = stencil_mode
             solutions[index] = ThermalSolution(
                 grid=operator.grid, temperature=temperature, info=info
             )
@@ -719,10 +599,9 @@ class SolveFarm:
         Same schema as :meth:`repro.engine.TrunkFeatureCache.cache_stats`
         — the serving daemon's ``/stats`` endpoint and byte-budget logic
         consume both without caring which cache they came from — plus an
-        ``"iterations"`` map making the iterative tiers observable: per
+        ``"iterations"`` map making the iterative solves observable: per
         16-char digest prefix, the number of solved blocks, the summed
-        iteration count and the per-block history (in solve order, so a
-        recycling win shows as a strictly decreasing sequence).
+        iteration count and the per-block history in solve order.
         """
         with self._lock:
             return {

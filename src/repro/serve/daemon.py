@@ -169,8 +169,8 @@ class ThermalServer:
     solver:
         Solver tier for the service's reference FDM solves (ignored when
         ``service`` is passed in): ``"auto"`` pairs naturally with
-        ``memory_budget``, letting oversized grids degrade to the
-        iterative tiers instead of thrashing the farm cache — see
+        ``memory_budget``, letting oversized grids degrade to
+        ``block_cg`` instead of thrashing the farm cache — see
         ``docs/solvers.md``.
     """
 

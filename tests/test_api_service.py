@@ -125,7 +125,7 @@ class TestSolve:
     def test_solver_tiers_through_the_service(self, tmp_path):
         scenario = ThermalScenario.from_json(SCENARIO_DIR / "experiment_b_test.json")
         peaks = {}
-        for solver in (None, "lu", "block_cg", "recycled", "auto"):
+        for solver in (None, "lu", "block_cg", "auto"):
             # A private farm per tier, so no tier reuses another's state.
             tiered = ThermalService(
                 cache_dir=tmp_path, farm=SolveFarm(), solver=solver
@@ -135,8 +135,7 @@ class TestSolve:
             peaks[solver] = result.peaks
         assert np.array_equal(peaks["lu"], peaks[None])
         assert np.array_equal(peaks["auto"], peaks[None])
-        for solver in ("block_cg", "recycled"):
-            assert np.abs(peaks[solver] - peaks[None]).max() <= 1e-8
+        assert np.abs(peaks["block_cg"] - peaks[None]).max() <= 1e-8
 
     def test_transient_solve_is_initial_condition(self, service):
         result = service.solve(scenario_for("transient", scale="test"),

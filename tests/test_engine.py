@@ -130,10 +130,11 @@ class TestTrunkCache:
     def test_grid_reuse_hits_cache(self, setup_a):
         engine = setup_a.model.compile()
         designs = _designs_a(setup_a, n=2)
-        engine.predict_batch(designs, grid=setup_a.eval_grid)
-        engine.predict_batch(designs, grid=setup_a.eval_grid)
+        miss = engine.predict_batch(designs, grid=setup_a.eval_grid)
+        hit = engine.predict_batch(designs, grid=setup_a.eval_grid)
         info = engine.cache_info()
         assert info.misses == 1 and info.hits == 1
+        assert np.array_equal(hit, miss)
 
     def test_grid_change_invalidates(self, setup_a):
         engine = setup_a.model.compile()
