@@ -23,8 +23,9 @@ from the same distribution, never trained on):
   relative rise, not absolute kelvin, so the ~298 K ambient offset
   cannot mask errors;
 * *fine-tune*: the member model warm-starts from the family checkpoint
-  and advances in ``CHUNK``-iteration steps, evaluating after each
-  chunk; the recorded number is the first iteration count at or below
+  and a one-member ``Trainer`` (``TrainerConfig()`` defaults) advances
+  it in ``CHUNK``-iteration steps, evaluating after each chunk; the
+  recorded number is the first iteration count at or below
   ``THRESHOLD`` (5%);
 * *from-scratch*: an identically-shaped conditioned member model with
   fresh random init runs the same chunked schedule — the baseline
@@ -48,7 +49,8 @@ from pathlib import Path
 import numpy as np
 from conftest import SMOKE
 
-from repro.family import FamilySetup, FamilyTrainer, ScenarioFamily
+from repro.core import Trainer, TrainerConfig
+from repro.family import ScenarioFamily
 
 FAMILY_PATH = (Path(__file__).parent.parent
                / "examples" / "scenarios" / "family_htc_sweep.json")
@@ -68,13 +70,10 @@ def _family() -> ScenarioFamily:
     return family
 
 
-def _member_trainer(family, compiled, member) -> tuple:
-    """(trainer, model, conditioned-design-key) for one member."""
+def _member_trainer(compiled, member) -> tuple:
+    """(trainer, model) for one member under ``TrainerConfig()`` defaults."""
     setup = compiled.member_setup(member)
-    single = FamilySetup(family=family, net=compiled.net,
-                         envelope_inputs=compiled.envelope_inputs,
-                         members=[member], setups=[setup])
-    return FamilyTrainer(single), setup.model
+    return Trainer([(setup.model, setup.plan)], TrainerConfig()), setup.model
 
 
 def _peak_rise_error(model, member, design, truth_peak, grid) -> float:
@@ -128,7 +127,7 @@ def test_family_finetune_beats_scratch(out_dir):
         warm = family.compile()
         for param, array in zip(warm.net.parameters(), family_params):
             param.data[...] = array
-        ft_trainer, ft_model = _member_trainer(family, warm, member)
+        ft_trainer, ft_model = _member_trainer(warm, member)
         ft_initial = _peak_rise_error(ft_model, member, conditioned,
                                       truth_peak, grid)
         ft_iters, ft_curve = _first_pass(ft_trainer, ft_model, member,
@@ -136,7 +135,7 @@ def test_family_finetune_beats_scratch(out_dir):
 
         # From-scratch: identical architecture, fresh random init.
         scratch = family.compile()
-        sc_trainer, sc_model = _member_trainer(family, scratch, member)
+        sc_trainer, sc_model = _member_trainer(scratch, member)
         sc_initial = _peak_rise_error(sc_model, member, conditioned,
                                       truth_peak, grid)
         sc_iters, sc_curve = _first_pass(sc_trainer, sc_model, member,

@@ -67,7 +67,7 @@ def _run(stacked: bool, iterations: int):
         stacked=stacked,
         log_every=1,
     )
-    history = Trainer(setup.model, setup.plan, cfg).run()
+    history = Trainer([(setup.model, setup.plan)], cfg).run()
     return np.asarray(history.total_loss), iterations / history.wall_time
 
 

@@ -932,7 +932,7 @@ class ThermalService:
                 f"{family.name!r}'s envelope; fine-tune targets must be "
                 f"covered members"
             )
-        from ..family.trainer import FamilySetup, FamilyTrainer
+        from ..core.trainer import Trainer
 
         digest = scenario.content_digest()
         cached = self._finetuned.get(digest)
@@ -975,15 +975,9 @@ class ThermalService:
             iterations=(int(iterations) if iterations is not None
                         else target.trainer_config.iterations),
         )
-        ft_setup = FamilySetup(
-            family=family,
-            net=fresh.net,
-            envelope_inputs=fresh.envelope_inputs,
-            members=[scenario],
-            setups=[target],
-            trainer_config=config,
+        history = Trainer([(target.model, target.plan)], config).run(
+            verbose=verbose
         )
-        history = FamilyTrainer(ft_setup, config=config).run(verbose=verbose)
         meta = {
             "final_loss": history.final_loss,
             "wall_time": history.wall_time,

@@ -39,5 +39,8 @@ class ExperimentSetup:
     description: str
     scenario: Optional[object] = None
 
-    def make_trainer(self) -> Trainer:
-        return Trainer(self.model, self.plan, self.trainer_config)
+    def make_trainer(self, config: Optional[TrainerConfig] = None) -> Trainer:
+        """A one-member :class:`Trainer`; ``None`` trains under
+        ``trainer_config`` itself (not a copy)."""
+        return Trainer([(self.model, self.plan)],
+                       config if config is not None else self.trainer_config)

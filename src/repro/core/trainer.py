@@ -5,6 +5,10 @@ collocation batch, assemble the physics loss (eq. 11), and take one Adam
 step under the paper's staircase LR schedule (1e-3, x0.9 every 500).
 No simulation data is consumed anywhere — training is purely residual
 driven, which is the paper's headline practicality claim.
+
+One :class:`Trainer` serves a single scenario and a scenario family
+alike: it trains a shared net over a list of ``(model, plan)`` members,
+round-robin, so a scenario is simply a family of one.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -177,35 +181,58 @@ def load_trainer_state(path: Union[str, Path]) -> Tuple[Dict[str, np.ndarray], D
 
 
 class Trainer:
-    """Runs physics-informed training of a :class:`DeepOHeat` model."""
+    """Physics-informed training of one net over one or more members.
+
+    ``members`` is a non-empty sequence of ``(model, plan)`` pairs whose
+    models share one net; a single scenario is a family of one.
+    Iteration ``i`` draws its functions and collocation batch from
+    member ``i % len(members)``, and every gradient lands on the shared
+    net.  The RNG, optimizer and history live on the trainer, so
+    :meth:`advance` can interleave training chunks with evaluation and
+    a second :meth:`run` continues where the first stopped.
+    """
 
     def __init__(
         self,
-        model: DeepOHeat,
-        plan: CollocationPlan,
+        members: Sequence[Tuple[DeepOHeat, CollocationPlan]],
         config: Optional[TrainerConfig] = None,
     ):
-        # Transient models train on space-time (4-column) collocation
-        # batches and vice versa; a mismatch would only surface as a
-        # shape error deep inside the stacked propagation, so fail fast
-        # here with the actual fix spelled out.
-        model_transient = model.transient is not None
-        plan_transient = bool(getattr(plan, "time_dependent", False))
-        if model_transient != plan_transient:
-            raise ValueError(
-                "transient mode mismatch: "
-                + (
-                    "the model has a TransientSpec but the collocation plan "
-                    "is steady — use TransientCollocation"
-                    if model_transient
-                    else "the collocation plan is time-dependent but the "
-                    "model is steady — pass transient=TransientSpec(...) "
-                    "to DeepOHeat"
-                )
-            )
-        self.model = model
-        self.plan = plan
+        self.members = [(model, plan) for model, plan in members]
+        if not self.members:
+            raise ValueError("Trainer needs at least one (model, plan) member")
+        net = self.members[0][0].net
+        if any(model.net is not net for model, _ in self.members):
+            raise ValueError("Trainer members must share one net")
         self.config = config if config is not None else TrainerConfig()
+        if self.config.balance_every and len(self.members) > 1:
+            raise ValueError(
+                "balance_every adapts one member's loss weights; it cannot "
+                f"train {len(self.members)} members"
+            )
+        for model, plan in self.members:
+            # Transient models train on space-time (4-column) collocation
+            # batches and vice versa; a mismatch would only surface as a
+            # shape error deep inside the stacked propagation, so fail
+            # fast here with the actual fix spelled out.
+            model_transient = model.transient is not None
+            plan_transient = bool(getattr(plan, "time_dependent", False))
+            if model_transient != plan_transient:
+                raise ValueError(
+                    "transient mode mismatch: "
+                    + (
+                        "the model has a TransientSpec but the collocation "
+                        "plan is steady — use TransientCollocation"
+                        if model_transient
+                        else "the collocation plan is time-dependent but the "
+                        "model is steady — pass transient=TransientSpec(...) "
+                        "to DeepOHeat"
+                    )
+                )
+        self._rng: Optional[np.random.Generator] = None
+        self._optimizer: Optional[Adam] = None
+        self._schedule: Optional[ExponentialDecay] = None
+        self._history: Optional[TrainingHistory] = None
+        self._iteration = 0
 
     def run(
         self,
@@ -214,21 +241,20 @@ class Trainer:
         checkpoint_path: Optional[Union[str, Path]] = None,
         resume: bool = False,
     ) -> TrainingHistory:
-        """Train and return the loss history.
+        """Train to ``config.iterations`` and return the loss history.
 
         ``callback(iteration, total, components)`` fires every
         ``log_every`` iterations (and on the last one).
 
         ``checkpoint_path`` + ``config.checkpoint_every`` turn on
         autosave: the full trainer state (parameters, Adam moments, RNG
-        state, iteration, history, loss weights) is written crash-safely
-        every N completed iterations.  ``resume=True`` restores that
-        snapshot if it exists (a missing file starts fresh) and
-        continues with a bitwise-identical trajectory versus an
-        uninterrupted run; a corrupt snapshot raises
+        state, iteration, history, member 0's loss weights) is written
+        crash-safely every N completed iterations.  ``resume=True``
+        restores that snapshot if it exists (a missing file starts
+        fresh) and continues with a bitwise-identical trajectory versus
+        an uninterrupted run; a corrupt snapshot raises
         :class:`~repro.nn.CheckpointCorrupt`.
         """
-        cfg = self.config
         resumed = None
         if resume:
             if checkpoint_path is None:
@@ -241,52 +267,86 @@ class Trainer:
             if candidate.exists():
                 resumed = load_trainer_state(candidate)
                 self._check_resume_config(resumed[1])
-        rng, params, optimizer, history, start_iteration = self._prepare_run(resumed)
-        schedule = cfg.schedule()
+        if resumed is not None or self._optimizer is None:
+            self._start(resumed)
+        return self._train_until(
+            self.config.iterations, callback, verbose, checkpoint_path
+        )
+
+    def advance(
+        self,
+        n: int,
+        callback: Optional[Callable[[int, float, Dict[str, float]], None]] = None,
+        verbose: bool = False,
+    ) -> TrainingHistory:
+        """Run ``n`` more iterations from the current state.
+
+        The incremental API for interleaving training with evaluation
+        (e.g. fine-tune-to-error-threshold measurements); repeated calls
+        continue the identical trajectory a single longer run would take.
+        """
+        if self._optimizer is None:
+            self._start(None)
+        return self._train_until(self._iteration + int(n), callback, verbose, None)
+
+    # ------------------------------------------------------------------
+    # The loop
+    # ------------------------------------------------------------------
+    def _train_until(
+        self,
+        stop: int,
+        callback: Optional[Callable[[int, float, Dict[str, float]], None]],
+        verbose: bool,
+        checkpoint_path: Optional[Union[str, Path]],
+    ) -> TrainingHistory:
+        history = self._history
         prior_wall = history.wall_time
-
-        start = time.perf_counter()
-        for iteration in range(start_iteration, cfg.iterations):
-            faults.hit("trainer.iteration", iteration=iteration)
-            raws = [
-                config_input.sample(rng, cfg.n_functions)
-                for config_input in self.model.inputs
-            ]
-            batch = self.plan.batch(rng, cfg.n_functions)
-            total, parts = self.model.compute_loss(raws, batch, stacked=cfg.stacked)
-            if cfg.balance_every and iteration % cfg.balance_every == 0:
-                self._rebalance(parts)
-            grads = ad.grad(total, params)
-            grad_arrays = [g.data for g in grads]
-            if cfg.clip_norm is not None:
-                grad_arrays = clip_grad_norm(grad_arrays, cfg.clip_norm)
-            optimizer.lr = schedule(iteration)
-            optimizer.step(grad_arrays)
-
-            is_log_step = (
-                iteration % cfg.log_every == 0 or iteration == cfg.iterations - 1
-            )
-            if is_log_step:
-                history.record(iteration, total.item(), parts, optimizer.lr)
-                if callback is not None:
-                    callback(iteration, total.item(), parts)
-                if verbose:
-                    part_text = " ".join(
-                        f"{k}={v:.3e}" for k, v in sorted(parts.items())
-                    )
-                    print(f"[{iteration:5d}] loss={total.item():.4e} {part_text}")
-            self._maybe_checkpoint(
-                checkpoint_path,
-                iteration,
-                params,
-                optimizer,
-                rng,
-                history,
-                prior_wall,
-                start,
-            )
-        history.wall_time = prior_wall + time.perf_counter() - start
+        started = time.perf_counter()
+        while self._iteration < stop:
+            self._step(callback, verbose)
+            self._maybe_checkpoint(checkpoint_path, prior_wall, started)
+        history.wall_time = prior_wall + time.perf_counter() - started
         return history
+
+    def _step(
+        self,
+        callback: Optional[Callable[[int, float, Dict[str, float]], None]],
+        verbose: bool,
+    ) -> None:
+        """One training iteration on member ``iteration % len(members)``."""
+        cfg = self.config
+        iteration = self._iteration
+        member = iteration % len(self.members)
+        model, plan = self.members[member]
+        faults.hit("trainer.iteration", iteration=iteration, member=member)
+        raws = [
+            config_input.sample(self._rng, cfg.n_functions)
+            for config_input in model.inputs
+        ]
+        batch = plan.batch(self._rng, cfg.n_functions)
+        total, parts = model.compute_loss(raws, batch, stacked=cfg.stacked)
+        if cfg.balance_every and iteration % cfg.balance_every == 0:
+            self._rebalance(model.builder.weights, parts)
+        optimizer = self._optimizer
+        grads = ad.grad(total, optimizer.params)
+        grad_arrays = [g.data for g in grads]
+        if cfg.clip_norm is not None:
+            grad_arrays = clip_grad_norm(grad_arrays, cfg.clip_norm)
+        optimizer.lr = self._schedule(iteration)
+        optimizer.step(grad_arrays)
+        self._iteration += 1
+
+        if iteration % cfg.log_every == 0 or iteration == cfg.iterations - 1:
+            loss = total.item()
+            self._history.record(iteration, loss, parts, optimizer.lr)
+            if callback is not None:
+                callback(iteration, loss, parts)
+            if verbose:
+                tag = f" member={member}" if len(self.members) > 1 else ""
+                part_text = " ".join(
+                    f"{k}={v:.3e}" for k, v in sorted(parts.items())
+                )
+                print(f"[{iteration:5d}]{tag} loss={loss:.4e} {part_text}")
 
     # ------------------------------------------------------------------
     # Checkpoint/resume plumbing
@@ -308,16 +368,14 @@ class Trainer:
                 f"cannot resume: trajectory-determining config changed ({detail})"
             )
 
-    def _prepare_run(
-        self, resumed: Optional[Tuple[Dict[str, np.ndarray], Dict]]
-    ) -> Tuple[np.random.Generator, List, Adam, TrainingHistory, int]:
-        """Fresh or restored (rng, params, optimizer, history, start)."""
+    def _start(self, resumed: Optional[Tuple[Dict[str, np.ndarray], Dict]]) -> None:
+        """Build fresh (or snapshot-restored) RNG/optimizer/history state."""
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
-        params = self.model.net.parameters()
+        params = self.members[0][0].net.parameters()
         optimizer = Adam(params, lr=cfg.learning_rate)
         history = TrainingHistory()
-        start_iteration = 0
+        iteration = 0
         if resumed is not None:
             arrays, meta = resumed
             expected = 3 * len(params)
@@ -343,47 +401,47 @@ class Trainer:
             history.wall_time = float(recorded.get("wall_time", 0.0))
             weights = meta.get("weights") or {}
             if weights:
-                self.model.builder.weights.clear()
-                self.model.builder.weights.update(weights)
-            start_iteration = int(meta["iteration"])
+                builder_weights = self.members[0][0].builder.weights
+                builder_weights.clear()
+                builder_weights.update(weights)
+            iteration = int(meta["iteration"])
             logger.info(
                 "resuming training at iteration %d (of %d)",
-                start_iteration,
+                iteration,
                 cfg.iterations,
             )
-        return rng, params, optimizer, history, start_iteration
+        self._rng = rng
+        self._optimizer = optimizer
+        self._schedule = cfg.schedule()
+        self._history = history
+        self._iteration = iteration
 
     def _maybe_checkpoint(
         self,
         checkpoint_path: Optional[Union[str, Path]],
-        iteration: int,
-        params: List,
-        optimizer: Adam,
-        rng: np.random.Generator,
-        history: TrainingHistory,
         prior_wall: float,
         started: float,
     ) -> None:
-        """Autosave after iteration ``iteration`` when the cadence says so."""
+        """Autosave the completed iterations when the cadence says so."""
         cfg = self.config
         if checkpoint_path is None or not cfg.checkpoint_every:
             return
-        done = iteration + 1
+        done = self._iteration
         if done % cfg.checkpoint_every != 0 or done >= cfg.iterations:
             return
-        history.wall_time = prior_wall + time.perf_counter() - started
+        self._history.wall_time = prior_wall + time.perf_counter() - started
         save_trainer_state(
             checkpoint_path,
             iteration=done,
-            params=params,
-            optimizer=optimizer,
-            rng=rng,
-            history=history,
-            weights=self.model.builder.weights,
+            params=self._optimizer.params,
+            optimizer=self._optimizer,
+            rng=self._rng,
+            history=self._history,
+            weights=self.members[0][0].builder.weights,
             config=cfg,
         )
 
-    def _rebalance(self, parts: Dict[str, float]) -> None:
+    def _rebalance(self, weights: Dict[str, float], parts: Dict[str, float]) -> None:
         """Move loss weights toward inverse component magnitudes.
 
         Raw (unweighted) magnitudes are recovered by dividing each reported
@@ -392,7 +450,6 @@ class Trainer:
         to ``[1/clip, clip]``.
         """
         cfg = self.config
-        weights = self.model.builder.weights
         raw = {
             name: max(value / weights.get(name, 1.0), 1e-12)
             for name, value in parts.items()

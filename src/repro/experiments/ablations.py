@@ -117,7 +117,7 @@ def run_activation_ablation(iterations: int = 250, seed: int = 0) -> List[Ablati
         model, plan, cfg = _small_setup(
             activation=activation, seed=seed, iterations=iterations
         )
-        history = Trainer(model, plan, cfg).run()
+        history = Trainer([(model, plan)], cfg).run()
         runs.append(
             AblationRun(
                 label=activation,
@@ -136,7 +136,7 @@ def run_fourier_ablation(iterations: int = 250, seed: int = 0) -> List[AblationR
         model, plan, cfg = _small_setup(
             use_fourier=use_fourier, seed=seed, iterations=iterations
         )
-        history = Trainer(model, plan, cfg).run()
+        history = Trainer([(model, plan)], cfg).run()
         runs.append(
             AblationRun(
                 label="fourier" if use_fourier else "raw-coords",

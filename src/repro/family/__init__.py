@@ -9,9 +9,10 @@ scenarios instead of a single configuration:
 - :class:`FamilyEncodedInput` / scenario conditioning — members share
   one branch stack by encoding through the family envelope, with a
   fixed-width conditioning vector appended as an extra branch.
-- :class:`FamilyTrainer` — round-robins collocation batches over
-  members into the one shared net, with the standard checkpoint/resume
-  machinery.
+- :class:`FamilySetup` — the compiled family; its ``make_trainer()``
+  is the core :class:`~repro.core.trainer.Trainer` over one
+  ``(model, plan)`` member per family member, round-robin into the one
+  shared net, with the standard checkpoint/resume machinery.
 
 Fine-tuning (``service.fine_tune``) and checkpoint lineage live in
 :mod:`repro.api.service`; serving of family checkpoints in
@@ -25,14 +26,13 @@ from .spec import (
     ScenarioFamily,
     sniff_family_json,
 )
-from .trainer import FamilySetup, FamilyTrainer
+from .trainer import FamilySetup
 
 __all__ = [
     "FAMILY_SCHEMA_VERSION",
     "FamilyAxis",
     "FamilyEncodedInput",
     "FamilySetup",
-    "FamilyTrainer",
     "ScenarioFamily",
     "sniff_family_json",
 ]

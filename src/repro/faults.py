@@ -15,8 +15,7 @@ beyond the kwargs dict, no locking, no plan scan.
 
 Sites currently wired in::
 
-    trainer.iteration  parent, top of each training step    (iteration)
-    family.iteration   top of each family training step     (iteration, member)
+    trainer.iteration  top of each training step            (iteration, member)
     serve.compute      batcher thread, before a fused call  (op, batch)
     serve.connection   daemon, before each frame read       (peer)
 

@@ -150,9 +150,13 @@ class _CachedOperator:
         (``lu.nnz`` nonzeros in L+U at 8 value bytes + 4 index bytes
         each, plus the two permutation vectors) — an estimate, but the
         fill dominates by orders of magnitude at any real grid, so the
-        byte budget tracks what actually matters.
+        byte budget tracks what actually matters.  A Dirichlet face
+        keeps the pre-elimination ``matrix_raw`` as a second CSR (the
+        energy audit reads it); without one the two are the same object.
         """
         total = _sparse_nbytes(self.operator.matrix)
+        if self.operator.matrix_raw is not self.operator.matrix:
+            total += _sparse_nbytes(self.operator.matrix_raw)
         if self.lu is not None:
             n = self.operator.matrix.shape[0]
             total += int(self.lu.nnz) * 12 + 8 * n

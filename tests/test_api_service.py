@@ -249,7 +249,6 @@ class TestTrainCheckpointEvery:
                                                   kind):
         """``checkpoint_every=`` autosaves that run only, not later ones."""
         from repro.core import trainer as core_trainer
-        from repro.family import trainer as family_trainer
 
         saves = []
         real_save = core_trainer.save_trainer_state
@@ -259,7 +258,6 @@ class TestTrainCheckpointEvery:
             return real_save(*args, **kwargs)
 
         monkeypatch.setattr(core_trainer, "save_trainer_state", spy)
-        monkeypatch.setattr(family_trainer, "save_trainer_state", spy)
         if kind == "scenario":
             subject, train = _tiny(), service.train
             config = service.setup(subject).trainer_config

@@ -137,7 +137,7 @@ class TestTraining:
     def test_callback_fires(self, setup_b):
         calls = []
         config = TrainerConfig(iterations=4, n_functions=2, log_every=2, seed=0)
-        Trainer(setup_b.model, setup_b.plan, config).run(
+        Trainer([(setup_b.model, setup_b.plan)], config).run(
             callback=lambda it, total, parts: calls.append(it)
         )
         assert calls == [0, 2, 3]
@@ -228,6 +228,23 @@ class TestPersistence:
         )
 
 
+class TestTrainerMembers:
+    def test_empty_member_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            Trainer([])
+
+    def test_members_with_different_nets_rejected(self, setup_a):
+        other = scenario_for("a", scale="test").compile()
+        with pytest.raises(ValueError, match="share one net"):
+            Trainer([(setup_a.model, setup_a.plan), (other.model, other.plan)])
+
+    def test_balancing_over_several_members_rejected(self, setup_a):
+        members = [(setup_a.model, setup_a.plan)] * 2
+        with pytest.raises(ValueError, match="balance_every"):
+            Trainer(members, TrainerConfig(balance_every=2))
+        Trainer(members[:1], TrainerConfig(balance_every=2))  # one is fine
+
+
 class TestAdaptiveBalancing:
     def test_balancing_updates_weights(self):
         from repro.core import Trainer, TrainerConfig
@@ -237,7 +254,7 @@ class TestAdaptiveBalancing:
         cfg = TrainerConfig(
             iterations=6, n_functions=3, balance_every=2, log_every=3, seed=0
         )
-        Trainer(setup.model, setup.plan, cfg).run()
+        Trainer([(setup.model, setup.plan)], cfg).run()
         weights = setup.model.builder.weights
         assert weights, "balancing should have populated the weights"
         assert all(np.isfinite(w) and w > 0 for w in weights.values())
@@ -256,7 +273,7 @@ class TestAdaptiveBalancing:
             iterations=4, n_functions=3, balance_every=1, balance_clip=5.0,
             balance_momentum=0.0, log_every=2, seed=0,
         )
-        Trainer(setup.model, setup.plan, cfg).run()
+        Trainer([(setup.model, setup.plan)], cfg).run()
         for weight in setup.model.builder.weights.values():
             assert 1.0 / 5.0 - 1e-9 <= weight <= 5.0 + 1e-9
 
@@ -266,5 +283,5 @@ class TestAdaptiveBalancing:
         setup = scenario_for("a", scale="test", seed=4).compile()
         before = dict(setup.model.builder.weights)
         cfg = TrainerConfig(iterations=3, n_functions=2, log_every=2, seed=0)
-        Trainer(setup.model, setup.plan, cfg).run()
+        Trainer([(setup.model, setup.plan)], cfg).run()
         assert setup.model.builder.weights == before

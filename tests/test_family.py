@@ -3,8 +3,8 @@
 Covers the foundation-style contract end to end at test scale: the
 versioned family spec (digest stability, deterministic member
 enumeration, coverage checks), the scenario-conditioning branch, the
-round-robin :class:`FamilyTrainer` (including bitwise checkpoint
-resume), the registry lineage chain (``parent_digest`` round-trip,
+round-robin family :class:`~repro.core.trainer.Trainer` (including
+bitwise checkpoint resume), the registry lineage chain (``parent_digest`` round-trip,
 fallback ordering, cyclic/missing-parent rejection) and the service
 ``train_family`` / ``fine_tune`` / ``predict_member`` surface plus the
 CLI wiring.
@@ -21,7 +21,6 @@ from repro.family import (
     FAMILY_SCHEMA_VERSION,
     FamilyEncodedInput,
     FamilySetup,
-    FamilyTrainer,
     ScenarioFamily,
     sniff_family_json,
 )
@@ -219,15 +218,15 @@ class TestConditioning:
 # ----------------------------------------------------------------------
 # Trainer
 # ----------------------------------------------------------------------
-class TestFamilyTrainer:
+class TestFamilyTraining:
     def test_empty_setup_rejected(self):
         family = _family()
         compiled = family.compile()
         empty = FamilySetup(family=family, net=compiled.net,
                             envelope_inputs=compiled.envelope_inputs,
                             members=[])
-        with pytest.raises(ValueError):
-            FamilyTrainer(empty)
+        with pytest.raises(ValueError, match="at least one"):
+            empty.make_trainer()
 
     def test_run_round_robins_members(self):
         compiled = _family().compile()
@@ -244,20 +243,28 @@ class TestFamilyTrainer:
         assert seen == [0, 1, 2, 3]
         assert np.all(np.isfinite(history.total_loss))
 
-    def test_advance_matches_single_run(self):
-        one_shot = _family().compile()
+    @pytest.mark.parametrize("kind", ["scenario", "family"])
+    def test_advance_matches_single_run(self, kind):
+        def compile_subject():
+            if kind == "family":
+                return _family().compile()
+            return ThermalScenario.from_dict(json.loads(json.dumps(_BASE))).compile()
+
+        one_shot = compile_subject()
         trainer = one_shot.make_trainer()
         trainer.config.iterations = 6
-        trainer.run()
-        reference = [p.data.copy() for p in one_shot.net.parameters()]
+        full = trainer.run()
+        reference = [p.data.copy() for p in one_shot.model.net.parameters()]
 
-        chunked = _family().compile()
+        chunked = compile_subject()
         trainer = chunked.make_trainer()
         trainer.config.iterations = 6
         trainer.advance(2)
-        trainer.advance(4)
-        for left, right in zip(reference, chunked.net.parameters()):
+        history = trainer.advance(4)
+        for left, right in zip(reference, chunked.model.net.parameters()):
             assert np.array_equal(left, right.data)
+        assert history.iterations == full.iterations
+        assert history.total_loss == full.total_loss
 
     def test_checkpoint_resume_is_bitwise(self, tmp_path):
         snapshot = tmp_path / "fam_state.npz"

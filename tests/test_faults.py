@@ -206,7 +206,7 @@ class TestTrainerChaos:
         reference = scenario_for("a", scale="test", seed=0).compile()
         cfg = TrainerConfig(iterations=10, n_functions=4, log_every=3,
                             seed=0)
-        full = Trainer(reference.model, reference.plan, cfg).run()
+        full = Trainer([(reference.model, reference.plan)], cfg).run()
         expected = _weights(reference)
 
         cut = scenario_for("a", scale="test", seed=0).compile()
@@ -216,7 +216,7 @@ class TestTrainerChaos:
             faults.FaultRule(site="trainer.iteration",
                              match={"iteration": 6}),
         ])
-        trainer = Trainer(cut.model, cut.plan, cfg_ck)
+        trainer = Trainer([(cut.model, cut.plan)], cfg_ck)
         with pytest.raises(faults.FaultInjected):
             with faults.injected(plan):
                 trainer.run(checkpoint_path=ckpt)
@@ -224,7 +224,7 @@ class TestTrainerChaos:
 
         # Resume on a FRESH model (exactly the post-kill situation).
         resumed = scenario_for("a", scale="test", seed=0).compile()
-        history = Trainer(resumed.model, resumed.plan, cfg_ck).run(
+        history = Trainer([(resumed.model, resumed.plan)], cfg_ck).run(
             checkpoint_path=ckpt, resume=True
         )
         for lhs, rhs in zip(expected, _weights(resumed)):
@@ -232,31 +232,44 @@ class TestTrainerChaos:
         assert history.iterations == full.iterations
         assert history.total_loss == full.total_loss
 
-    def test_kill_dash_nine_then_service_resume_bitwise(self, tmp_path):
-        scn = _tiny(iterations=6)
+    @pytest.mark.parametrize("kind", ["scenario", "family"])
+    def test_kill_dash_nine_then_service_resume_bitwise(self, tmp_path,
+                                                        kind):
+        # Scenarios and families train through one loop; both resume.
+        if kind == "scenario":
+            subject, train = _tiny(iterations=6), ThermalService.train
+            kill_at = {"iteration": 4}
+        else:
+            subject, train = _tiny_family(), ThermalService.train_family
+            kill_at = {"iteration": 3, "member": 1}
         with ThermalService(cache_dir=tmp_path / "ref") as svc:
-            ref = svc.train(scn, checkpoint_every=2)
+            ref = train(svc, subject, checkpoint_every=2)
         ref_state, _ = read_payload(ref.checkpoint_path)
 
         # Same training run in a child process, killed dead (os._exit,
-        # no cleanup — kill -9 equivalent) at iteration 4.
+        # no cleanup — kill -9 equivalent) mid-run.
+        spec = tmp_path / "subject.json"
+        subject.to_json(spec)
         plan = faults.FaultPlan(rules=[
             faults.FaultRule(site="trainer.iteration", action="kill",
-                             match={"iteration": 4}, exit_code=137),
+                             match=kill_at, exit_code=137),
         ])
         child = _run_child(
-            """
-            import sys
+            f"""
             from repro import faults
-            from repro.api import ThermalService, scenario_for
+            from repro.api import ThermalScenario, ThermalService
+            from repro.family import ScenarioFamily
 
             faults.load_from_env()
-            scenario = scenario_for("a", scale="test")
-            scenario.training.iterations = 6
-            with ThermalService(cache_dir=sys.argv[1]) as svc:
-                svc.train(scenario, checkpoint_every=2)
+            with ThermalService(cache_dir={str(tmp_path / "cut")!r}) as svc:
+                if {kind!r} == "family":
+                    family = ScenarioFamily.from_json({str(spec)!r})
+                    svc.train_family(family, checkpoint_every=2)
+                else:
+                    scenario = ThermalScenario.from_json({str(spec)!r})
+                    svc.train(scenario, checkpoint_every=2)
             print("FINISHED")
-            """.replace("sys.argv[1]", repr(str(tmp_path / "cut"))),
+            """,
             tmp_path, "train_kill.py",
             env_extra={faults.ENV_VAR: plan.to_json()},
         )
@@ -268,7 +281,7 @@ class TestTrainerChaos:
         # Resume in-process: final weights bitwise equal the
         # uninterrupted run, and the partial slot is cleaned up.
         with ThermalService(cache_dir=tmp_path / "cut") as svc:
-            resumed = svc.train(scn, resume=True, checkpoint_every=2)
+            resumed = train(svc, subject, resume=True, checkpoint_every=2)
         assert not resumed.from_cache
         assert not list((tmp_path / "cut").glob("*.train.npz"))
         cut_state, _ = read_payload(resumed.checkpoint_path)

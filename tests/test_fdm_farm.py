@@ -26,6 +26,7 @@ from repro.fdm import (
     SolveFarm,
     TransientSolver,
     assemble,
+    assemble_operator,
     get_default_farm,
     operator_digest,
     reset_default_farm,
@@ -302,6 +303,24 @@ class TestSolverSatellites:
         assert np.array_equal(first, second)
         # Nodal sampling reproduces the nodal field.
         assert np.allclose(first, solution.temperature[:5], atol=1e-9)
+
+
+    @pytest.mark.parametrize("dirichlet", [True, False])
+    def test_slot_nbytes_counts_both_operator_halves(self, dirichlet):
+        from repro.fdm.farm import _CachedOperator, _sparse_nbytes
+
+        bottom = DirichletBC(T_AMB) if dirichlet else None
+        operator = assemble_operator(
+            _problem(grid_shape=(11, 11, 7), bottom_bc=bottom)
+        )
+        slot = _CachedOperator(operator=operator)
+        matrix = _sparse_nbytes(operator.matrix)
+        if dirichlet:
+            assert operator.matrix_raw is not operator.matrix
+            assert slot.nbytes == matrix + _sparse_nbytes(operator.matrix_raw)
+        else:
+            assert operator.matrix_raw is operator.matrix
+            assert slot.nbytes == matrix
 
 
 # ----------------------------------------------------------------------

@@ -229,7 +229,7 @@ class TestTrainerDeterminism:
                 setup.trainer_config, iterations=6, stacked=stacked, log_every=1
             )
             histories.append(
-                np.asarray(Trainer(setup.model, setup.plan, cfg).run().total_loss)
+                np.asarray(Trainer([(setup.model, setup.plan)], cfg).run().total_loss)
             )
         legacy, fused = histories
         assert np.all(np.abs(fused - legacy) <= 1e-10 * np.abs(legacy))

@@ -182,9 +182,9 @@ class TestTransientCollocation:
     def test_trainer_rejects_steady_plan_for_transient_model(self, tiny_setup):
         steady = scenario_for("a", scale="test").compile()
         with pytest.raises(ValueError, match="transient mode mismatch"):
-            Trainer(tiny_setup.model, steady.plan)
+            Trainer([(tiny_setup.model, steady.plan)])
         with pytest.raises(ValueError, match="transient mode mismatch"):
-            Trainer(steady.model, tiny_setup.plan)
+            Trainer([(steady.model, tiny_setup.plan)])
 
 
 # ----------------------------------------------------------------------
