@@ -29,13 +29,29 @@ Design rules
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
+
+from ._codec import (
+    DEFAULT,
+    Document,
+    ScenarioValidationError,
+    Spec,
+    _boolean,
+    _dedupe,
+    _float_tuple,
+    _int_tuple,
+    _integer,
+    _name,
+    _number,
+    _widths,
+    canonical_digest,
+    section_field,
+    section_list_field,
+    spec_field,
+)
 
 SCHEMA_VERSION = 1
 
@@ -43,97 +59,17 @@ _FACE_NAMES = ("xmin", "xmax", "ymin", "ymax", "bottom", "top")
 _BC_KINDS = ("adiabatic", "convection", "dirichlet")
 
 
-class ScenarioValidationError(ValueError):
-    """A scenario failed validation; ``errors`` lists every problem found."""
-
-    def __init__(self, errors: Sequence[str]):
-        self.errors = list(errors)
-        super().__init__(
-            "invalid scenario ({} error{}):\n  - {}".format(
-                len(self.errors),
-                "s" if len(self.errors) != 1 else "",
-                "\n  - ".join(self.errors),
-            )
-        )
-
-
-# ----------------------------------------------------------------------
-# Strict-dict plumbing: every section rejects unknown keys with a path.
-# ----------------------------------------------------------------------
-def _take(data: Mapping, known: Sequence[str], path: str, errors: List[str]) -> Dict:
-    """Copy ``data`` checking it is a mapping with only ``known`` keys."""
-    if not isinstance(data, Mapping):
-        errors.append(f"{path}: expected an object, got {type(data).__name__}")
-        return {}
-    unknown = sorted(set(data) - set(known))
-    for key in unknown:
-        errors.append(f"{path}: unknown field {key!r} (known: {', '.join(known)})")
-    return {key: value for key, value in data.items() if key in known}
-
-
-def _number(value, path: str, errors: List[str], default=None):
-    if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        errors.append(f"{path}: expected a number, got {value!r}")
-        return default
-    return float(value)
-
-
-def _integer(value, path: str, errors: List[str], default=None):
-    if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, int):
-        errors.append(f"{path}: expected an integer, got {value!r}")
-        return default
-    return int(value)
-
-
-def _int_tuple(value, length: int, path: str, errors: List[str]):
-    if value is None:
-        return None
-    if (not isinstance(value, (list, tuple)) or len(value) != length
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in value)):
-        errors.append(f"{path}: expected {length} integers, got {value!r}")
-        return None
-    return tuple(int(v) for v in value)
-
-
-def _float_tuple(value, length: int, path: str, errors: List[str]):
-    if value is None:
-        return None
-    if (not isinstance(value, (list, tuple)) or len(value) != length
-            or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                   for v in value)):
-        errors.append(f"{path}: expected {length} numbers, got {value!r}")
-        return None
-    return tuple(float(v) for v in value)
-
-
 # ----------------------------------------------------------------------
 # Sections
 # ----------------------------------------------------------------------
 @dataclass
-class GeometrySpec:
+class GeometrySpec(Spec):
     """Chip cuboid in millimetres (the paper's unit)."""
 
-    size_mm: Tuple[float, float, float] = (1.0, 1.0, 0.5)
-    origin_mm: Tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-    def to_dict(self) -> Dict:
-        """JSON-ready dict form."""
-        return {"size_mm": list(self.size_mm), "origin_mm": list(self.origin_mm)}
-
-    @classmethod
-    def from_dict(cls, data, path: str, errors: List[str]) -> "GeometrySpec":
-        """Parse from dict form, collecting errors instead of raising."""
-        data = _take(data, ["size_mm", "origin_mm"], path, errors)
-        size = _float_tuple(data.get("size_mm"), 3, f"{path}.size_mm", errors)
-        origin = _float_tuple(data.get("origin_mm"), 3, f"{path}.origin_mm", errors)
-        return cls(
-            size_mm=size if size else (1.0, 1.0, 0.5),
-            origin_mm=origin if origin else (0.0, 0.0, 0.0),
-        )
+    size_mm: Tuple[float, float, float] = spec_field((1.0, 1.0, 0.5),
+                                                     coerce=_float_tuple(3))
+    origin_mm: Tuple[float, float, float] = spec_field((0.0, 0.0, 0.0),
+                                                       coerce=_float_tuple(3))
 
     def validate(self, path: str, errors: List[str]) -> None:
         """Append human-actionable problems to ``errors``."""
@@ -149,25 +85,11 @@ class GeometrySpec:
 
 
 @dataclass
-class MaterialSpec:
+class MaterialSpec(Spec):
     """Thermal conductivity field; ``uniform`` is the only kind so far."""
 
     kind: str = "uniform"
-    conductivity: float = 0.1  # W/mK
-
-    def to_dict(self) -> Dict:
-        """JSON-ready dict form."""
-        return {"kind": self.kind, "conductivity": self.conductivity}
-
-    @classmethod
-    def from_dict(cls, data, path: str, errors: List[str]) -> "MaterialSpec":
-        """Parse from dict form, collecting errors instead of raising."""
-        data = _take(data, ["kind", "conductivity"], path, errors)
-        return cls(
-            kind=data.get("kind", "uniform"),
-            conductivity=_number(data.get("conductivity"), f"{path}.conductivity",
-                                 errors, default=0.1),
-        )
+    conductivity: float = spec_field(0.1, coerce=_number)  # W/mK
 
     def validate(self, path: str, errors: List[str]) -> None:
         """Append human-actionable problems to ``errors``."""
@@ -186,7 +108,7 @@ class MaterialSpec:
 
 
 @dataclass
-class BoundarySpec:
+class BoundarySpec(Spec):
     """One face's fixed boundary condition.
 
     Faces driven by an operator input (HTC sweeps etc.) carry the
@@ -194,28 +116,9 @@ class BoundarySpec:
     """
 
     kind: str = "adiabatic"
-    htc: Optional[float] = None          # convection, W/m^2K
-    temperature: Optional[float] = None  # dirichlet, K
-
-    def to_dict(self) -> Dict:
-        """JSON-ready dict form."""
-        out: Dict = {"kind": self.kind}
-        if self.htc is not None:
-            out["htc"] = self.htc
-        if self.temperature is not None:
-            out["temperature"] = self.temperature
-        return out
-
-    @classmethod
-    def from_dict(cls, data, path: str, errors: List[str]) -> "BoundarySpec":
-        """Parse from dict form, collecting errors instead of raising."""
-        data = _take(data, ["kind", "htc", "temperature"], path, errors)
-        return cls(
-            kind=data.get("kind", "adiabatic"),
-            htc=_number(data.get("htc"), f"{path}.htc", errors),
-            temperature=_number(data.get("temperature"), f"{path}.temperature",
-                                errors),
-        )
+    # convection's W/m^2K and dirichlet's K; unset ones stay out of the JSON
+    htc: Optional[float] = spec_field(None, coerce=_number, omit_none=True)
+    temperature: Optional[float] = spec_field(None, coerce=_number, omit_none=True)
 
     def validate(self, path: str, errors: List[str]) -> None:
         """Append human-actionable problems to ``errors``."""
@@ -241,7 +144,7 @@ class BoundarySpec:
 
 
 @dataclass
-class VolumetricSourceSpec:
+class VolumetricSourceSpec(Spec):
     """A fixed (non-varying) internal heat source.
 
     ``uniform_layer`` is Experiment B's 0.625 mW slab: ``thickness_mm``
@@ -249,33 +152,9 @@ class VolumetricSourceSpec:
     """
 
     kind: str = "uniform_layer"
-    total_power: float = 0.000625  # W
-    thickness_mm: float = 0.05
-    z_center_mm: Optional[float] = None
-
-    def to_dict(self) -> Dict:
-        """JSON-ready dict form."""
-        return {
-            "kind": self.kind,
-            "total_power": self.total_power,
-            "thickness_mm": self.thickness_mm,
-            "z_center_mm": self.z_center_mm,
-        }
-
-    @classmethod
-    def from_dict(cls, data, path: str, errors: List[str]) -> "VolumetricSourceSpec":
-        """Parse from dict form, collecting errors instead of raising."""
-        data = _take(data, ["kind", "total_power", "thickness_mm", "z_center_mm"],
-                     path, errors)
-        return cls(
-            kind=data.get("kind", "uniform_layer"),
-            total_power=_number(data.get("total_power"), f"{path}.total_power",
-                                errors, default=0.000625),
-            thickness_mm=_number(data.get("thickness_mm"), f"{path}.thickness_mm",
-                                 errors, default=0.05),
-            z_center_mm=_number(data.get("z_center_mm"), f"{path}.z_center_mm",
-                                errors),
-        )
+    total_power: float = spec_field(0.000625, coerce=_number)  # W
+    thickness_mm: float = spec_field(0.05, coerce=_number)
+    z_center_mm: Optional[float] = spec_field(None, coerce=_number)
 
     def validate(self, path: str, errors: List[str]) -> None:
         """Append human-actionable problems to ``errors``."""
@@ -299,32 +178,12 @@ class VolumetricSourceSpec:
 
 
 @dataclass
-class GRFSpec:
+class GRFSpec(Spec):
     """Gaussian-random-field sampling parameters of a map-valued input."""
 
-    length_scale: float = 0.3
-    variance: float = 1.0
+    length_scale: float = spec_field(0.3, coerce=_number)
+    variance: float = spec_field(1.0, coerce=_number)
     transform: str = "none"
-
-    def to_dict(self) -> Dict:
-        """JSON-ready dict form."""
-        return {
-            "length_scale": self.length_scale,
-            "variance": self.variance,
-            "transform": self.transform,
-        }
-
-    @classmethod
-    def from_dict(cls, data, path: str, errors: List[str]) -> "GRFSpec":
-        """Parse from dict form, collecting errors instead of raising."""
-        data = _take(data, ["length_scale", "variance", "transform"], path, errors)
-        return cls(
-            length_scale=_number(data.get("length_scale"), f"{path}.length_scale",
-                                 errors, default=0.3),
-            variance=_number(data.get("variance"), f"{path}.variance", errors,
-                             default=1.0),
-            transform=data.get("transform", "none"),
-        )
 
     def validate(self, path: str, errors: List[str]) -> None:
         """Append human-actionable problems to ``errors``."""
@@ -352,38 +211,28 @@ class GRFSpec:
                                      transform=self.transform)
 
 
+def _trace_kinds(value, path, errors, spec):
+    if (not isinstance(value, (list, tuple)) or not value
+            or any(not isinstance(k, str) for k in value)):
+        errors.append(f"{path}: expected a non-empty list of strings, "
+                      f"got {value!r}")
+        return DEFAULT
+    return tuple(value)
+
+
+def _trace_weights(value, path, errors, spec):
+    """One weight per trace kind."""
+    return _float_tuple(len(spec.kinds))(value, path, errors)
+
+
 @dataclass
-class TraceFamilySpec:
+class TraceFamilySpec(Spec):
     """Random power-trace mixture of a transient input."""
 
-    kinds: Tuple[str, ...] = ("step", "ramp", "periodic")
-    weights: Optional[Tuple[float, ...]] = None
-    level_range: Tuple[float, float] = (0.2, 1.4)
-
-    def to_dict(self) -> Dict:
-        """JSON-ready dict form."""
-        return {
-            "kinds": list(self.kinds),
-            "weights": list(self.weights) if self.weights is not None else None,
-            "level_range": list(self.level_range),
-        }
-
-    @classmethod
-    def from_dict(cls, data, path: str, errors: List[str]) -> "TraceFamilySpec":
-        """Parse from dict form, collecting errors instead of raising."""
-        data = _take(data, ["kinds", "weights", "level_range"], path, errors)
-        kinds = data.get("kinds", ["step", "ramp", "periodic"])
-        if (not isinstance(kinds, (list, tuple)) or not kinds
-                or any(not isinstance(k, str) for k in kinds)):
-            errors.append(f"{path}.kinds: expected a non-empty list of strings, "
-                          f"got {kinds!r}")
-            kinds = ["step", "ramp", "periodic"]
-        weights = data.get("weights")
-        if weights is not None:
-            weights = _float_tuple(weights, len(kinds), f"{path}.weights", errors)
-        level = _float_tuple(data.get("level_range"), 2, f"{path}.level_range",
-                             errors) or (0.2, 1.4)
-        return cls(kinds=tuple(kinds), weights=weights, level_range=level)
+    kinds: Tuple[str, ...] = spec_field(("step", "ramp", "periodic"),
+                                        coerce=_trace_kinds)
+    weights: Optional[Tuple[float, ...]] = spec_field(None, coerce=_trace_weights)
+    level_range: Tuple[float, float] = spec_field((0.2, 1.4), coerce=_float_tuple(2))
 
     def validate(self, path: str, errors: List[str]) -> None:
         """Append human-actionable problems to ``errors``."""
@@ -405,8 +254,14 @@ class TraceFamilySpec:
                            level_range=self.level_range)
 
 
+def _map_shape(value, path, errors, spec):
+    """Sensors per axis: three for a volumetric map, two for a face map."""
+    length = 3 if spec.family == "volumetric_power_map" else 2
+    return _int_tuple(length)(value, path, errors)
+
+
 @dataclass
-class InputSpec:
+class InputSpec(Spec):
     """One operator input (a branch-net coordinate of the function space).
 
     ``family`` selects the physics; the other fields parameterize it:
@@ -432,17 +287,17 @@ class InputSpec:
     family: str = "power_map"
     name: Optional[str] = None
     face: str = "top"
-    map_shape: Optional[Tuple[int, ...]] = None
-    unit_flux: float = 2500.0
-    unit_density: float = 1.0e7
-    low: float = 333.33
-    high: float = 1000.0
-    n_time_sensors: int = 12
-    grf: GRFSpec = field(default_factory=GRFSpec)
-    traces: TraceFamilySpec = field(default_factory=TraceFamilySpec)
+    map_shape: Optional[Tuple[int, ...]] = spec_field(None, coerce=_map_shape)
+    unit_flux: float = spec_field(2500.0, coerce=_number)
+    unit_density: float = spec_field(1.0e7, coerce=_number)
+    low: float = spec_field(333.33, coerce=_number)
+    high: float = spec_field(1000.0, coerce=_number)
+    n_time_sensors: int = spec_field(12, coerce=_integer)
+    grf: GRFSpec = section_field(GRFSpec)
+    traces: TraceFamilySpec = section_field(TraceFamilySpec)
 
-    FAMILIES = ("power_map", "htc", "htc_map", "dirichlet",
-                "volumetric_power_map", "transient_power_map")
+    _TAG = "family"
+    _TAG_NOUN = "input family"
     # Fields serialized per family (everything else stays at its default).
     _FIELDS = {
         "power_map": ("name", "face", "map_shape", "unit_flux", "grf"),
@@ -453,56 +308,6 @@ class InputSpec:
         "transient_power_map": ("name", "face", "map_shape", "n_time_sensors",
                                 "unit_flux", "grf", "traces"),
     }
-
-    def to_dict(self) -> Dict:
-        """JSON-ready dict form."""
-        out: Dict = {"family": self.family}
-        for key in self._FIELDS.get(self.family, ()):
-            value = getattr(self, key)
-            if key in ("grf", "traces"):
-                value = value.to_dict()
-            elif key == "map_shape" and value is not None:
-                value = list(value)
-            out[key] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, data, path: str, errors: List[str]) -> "InputSpec":
-        """Parse from dict form, collecting errors instead of raising."""
-        if not isinstance(data, Mapping):
-            errors.append(f"{path}: expected an object, got {type(data).__name__}")
-            return cls()
-        family = data.get("family")
-        if family not in cls.FAMILIES:
-            errors.append(f"{path}.family: unknown input family {family!r} "
-                          f"(known: {', '.join(cls.FAMILIES)})")
-            return cls()
-        known = ("family",) + cls._FIELDS[family]
-        data = _take(data, known, path, errors)
-        spec = cls(family=family)
-        spec.name = data.get("name")
-        if "face" in cls._FIELDS[family]:
-            spec.face = data.get("face", "top")
-        shape_len = 3 if family == "volumetric_power_map" else 2
-        if "map_shape" in cls._FIELDS[family]:
-            spec.map_shape = _int_tuple(data.get("map_shape"), shape_len,
-                                        f"{path}.map_shape", errors)
-        spec.unit_flux = _number(data.get("unit_flux"), f"{path}.unit_flux",
-                                 errors, default=2500.0)
-        spec.unit_density = _number(data.get("unit_density"),
-                                    f"{path}.unit_density", errors, default=1.0e7)
-        spec.low = _number(data.get("low"), f"{path}.low", errors, default=333.33)
-        spec.high = _number(data.get("high"), f"{path}.high", errors,
-                            default=1000.0)
-        spec.n_time_sensors = _integer(data.get("n_time_sensors"),
-                                       f"{path}.n_time_sensors", errors,
-                                       default=12)
-        if "grf" in data:
-            spec.grf = GRFSpec.from_dict(data["grf"], f"{path}.grf", errors)
-        if "traces" in data:
-            spec.traces = TraceFamilySpec.from_dict(data["traces"],
-                                                    f"{path}.traces", errors)
-        return spec
 
     def validate(self, path: str, errors: List[str]) -> None:
         """Append human-actionable problems to ``errors``."""
@@ -588,65 +393,29 @@ class InputSpec:
         )
 
 
+def _branch_widths(value, path, errors, spec):
+    """One width list per input; a bad list falls back to ``(24, 24)``."""
+    if not isinstance(value, (list, tuple)) or not value:
+        errors.append(f"{path}: expected a list of width lists (one per "
+                      f"input), got {value!r}")
+        return DEFAULT
+    widths = [_widths(item, f"{path}[{index}]", errors)
+              for index, item in enumerate(value)]
+    return tuple((24, 24) if item is DEFAULT else item for item in widths)
+
+
 @dataclass
-class NetworkSpec:
+class NetworkSpec(Spec):
     """MIONet architecture: per-input branch widths, Fourier trunk, q."""
 
-    branch_hidden: Tuple[Tuple[int, ...], ...] = ((24, 24),)
-    trunk_hidden: Tuple[int, ...] = (24, 24)
-    q: int = 16
-    fourier_frequencies: int = 8
-    fourier_std: float = 1.0
+    branch_hidden: Tuple[Tuple[int, ...], ...] = spec_field(
+        ((24, 24),), coerce=_branch_widths
+    )
+    trunk_hidden: Tuple[int, ...] = spec_field((24, 24), coerce=_widths)
+    q: int = spec_field(16, coerce=_integer)
+    fourier_frequencies: int = spec_field(8, coerce=_integer)
+    fourier_std: float = spec_field(1.0, coerce=_number)
     activation: str = "swish"
-
-    def to_dict(self) -> Dict:
-        """JSON-ready dict form."""
-        return {
-            "branch_hidden": [list(widths) for widths in self.branch_hidden],
-            "trunk_hidden": list(self.trunk_hidden),
-            "q": self.q,
-            "fourier_frequencies": self.fourier_frequencies,
-            "fourier_std": self.fourier_std,
-            "activation": self.activation,
-        }
-
-    @classmethod
-    def from_dict(cls, data, path: str, errors: List[str]) -> "NetworkSpec":
-        """Parse from dict form, collecting errors instead of raising."""
-        data = _take(data, ["branch_hidden", "trunk_hidden", "q",
-                            "fourier_frequencies", "fourier_std", "activation"],
-                     path, errors)
-
-        def width_list(values, where):
-            """Validated list of positive layer widths (default on error)."""
-            if (not isinstance(values, (list, tuple)) or not values
-                    or any(isinstance(w, bool) or not isinstance(w, int)
-                           for w in values)):
-                errors.append(f"{where}: expected a non-empty list of "
-                              f"integer widths, got {values!r}")
-                return (24, 24)
-            return tuple(int(w) for w in values)
-
-        branch = data.get("branch_hidden", [[24, 24]])
-        if not isinstance(branch, (list, tuple)) or not branch:
-            errors.append(f"{path}.branch_hidden: expected a list of width "
-                          f"lists (one per input), got {branch!r}")
-            branch = [[24, 24]]
-        return cls(
-            branch_hidden=tuple(
-                width_list(widths, f"{path}.branch_hidden[{index}]")
-                for index, widths in enumerate(branch)
-            ),
-            trunk_hidden=width_list(data.get("trunk_hidden", [24, 24]),
-                                    f"{path}.trunk_hidden"),
-            q=_integer(data.get("q"), f"{path}.q", errors, default=16),
-            fourier_frequencies=_integer(data.get("fourier_frequencies"),
-                                         f"{path}.fourier_frequencies", errors,
-                                         default=8),
-            fourier_std=_number(data.get("fourier_std"), f"{path}.fourier_std",
-                                errors, default=1.0),
-            activation=data.get("activation", "swish"),
-        )
 
     def validate(self, path: str, errors: List[str], n_inputs: int) -> None:
         """Append human-actionable problems to ``errors``."""
@@ -681,7 +450,7 @@ class NetworkSpec:
 
 
 @dataclass
-class CollocationSpec:
+class CollocationSpec(Spec):
     """Where the physics residuals are enforced.
 
     ``mesh`` (fixed structured grid), ``random`` (fresh uniform draws,
@@ -689,69 +458,27 @@ class CollocationSpec:
     """
 
     kind: str = "mesh"
-    grid: Tuple[int, int, int] = (5, 5, 4)          # mesh
-    n_interior: int = 300                           # random / transient
-    n_per_face: int = 40
-    aligned: bool = True                            # random
-    focus_band: Optional[Tuple[float, float, float]] = None
-    n_initial: int = 128                            # transient
+    grid: Tuple[int, int, int] = spec_field((5, 5, 4),    # mesh
+                                            coerce=_int_tuple(3))
+    n_interior: int = spec_field(300, coerce=_integer)  # random / transient
+    n_per_face: int = spec_field(40, coerce=_integer)
+    aligned: bool = spec_field(True, coerce=_boolean)   # random
+    focus_band: Optional[Tuple[float, float, float]] = spec_field(
+        None, coerce=_float_tuple(3)
+    )
+    n_initial: int = spec_field(128, coerce=_integer)   # transient
 
-    KINDS = ("mesh", "random", "transient")
+    _TAG = "kind"
+    _TAG_NOUN = "collocation kind"
     _FIELDS = {
         "mesh": ("grid",),
         "random": ("n_interior", "n_per_face", "aligned", "focus_band"),
         "transient": ("n_interior", "n_per_face", "n_initial"),
     }
 
-    def to_dict(self) -> Dict:
-        """JSON-ready dict form."""
-        out: Dict = {"kind": self.kind}
-        for key in self._FIELDS.get(self.kind, ()):
-            value = getattr(self, key)
-            if key in ("grid", "focus_band") and value is not None:
-                value = list(value)
-            out[key] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, data, path: str, errors: List[str]) -> "CollocationSpec":
-        """Parse from dict form, collecting errors instead of raising."""
-        if not isinstance(data, Mapping):
-            errors.append(f"{path}: expected an object, got {type(data).__name__}")
-            return cls()
-        kind = data.get("kind")
-        if kind not in cls.KINDS:
-            errors.append(f"{path}.kind: unknown collocation kind {kind!r} "
-                          f"(known: {', '.join(cls.KINDS)})")
-            return cls()
-        data = _take(data, ("kind",) + cls._FIELDS[kind], path, errors)
-        spec = cls(kind=kind)
-        if kind == "mesh":
-            grid = _int_tuple(data.get("grid"), 3, f"{path}.grid", errors)
-            if grid:
-                spec.grid = grid
-        else:
-            spec.n_interior = _integer(data.get("n_interior"),
-                                       f"{path}.n_interior", errors, default=300)
-            spec.n_per_face = _integer(data.get("n_per_face"),
-                                       f"{path}.n_per_face", errors, default=40)
-        if kind == "random":
-            aligned = data.get("aligned", True)
-            if not isinstance(aligned, bool):
-                errors.append(f"{path}.aligned: expected true/false, "
-                              f"got {aligned!r}")
-                aligned = True
-            spec.aligned = aligned
-            spec.focus_band = _float_tuple(data.get("focus_band"), 3,
-                                           f"{path}.focus_band", errors)
-        if kind == "transient":
-            spec.n_initial = _integer(data.get("n_initial"), f"{path}.n_initial",
-                                      errors, default=128)
-        return spec
-
     def validate(self, path: str, errors: List[str]) -> None:
         """Append human-actionable problems to ``errors``."""
-        if self.kind not in self.KINDS:
+        if self.kind not in self._FIELDS:
             errors.append(f"{path}.kind: unknown collocation kind {self.kind!r}")
             return
         if self.kind == "mesh":
@@ -795,45 +522,15 @@ class CollocationSpec:
 
 
 @dataclass
-class TrainingSpec:
+class TrainingSpec(Spec):
     """Optimisation budget and schedule."""
 
-    iterations: int = 700
-    n_functions: int = 6
-    learning_rate: float = 1e-3
-    decay_rate: float = 0.9
-    decay_every: int = 500
-    seed: int = 0
-
-    def to_dict(self) -> Dict:
-        """JSON-ready dict form."""
-        return {
-            "iterations": self.iterations,
-            "n_functions": self.n_functions,
-            "learning_rate": self.learning_rate,
-            "decay_rate": self.decay_rate,
-            "decay_every": self.decay_every,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data, path: str, errors: List[str]) -> "TrainingSpec":
-        """Parse from dict form, collecting errors instead of raising."""
-        data = _take(data, ["iterations", "n_functions", "learning_rate",
-                            "decay_rate", "decay_every", "seed"], path, errors)
-        return cls(
-            iterations=_integer(data.get("iterations"), f"{path}.iterations",
-                                errors, default=700),
-            n_functions=_integer(data.get("n_functions"), f"{path}.n_functions",
-                                 errors, default=6),
-            learning_rate=_number(data.get("learning_rate"),
-                                  f"{path}.learning_rate", errors, default=1e-3),
-            decay_rate=_number(data.get("decay_rate"), f"{path}.decay_rate",
-                               errors, default=0.9),
-            decay_every=_integer(data.get("decay_every"), f"{path}.decay_every",
-                                 errors, default=500),
-            seed=_integer(data.get("seed"), f"{path}.seed", errors, default=0),
-        )
+    iterations: int = spec_field(700, coerce=_integer)
+    n_functions: int = spec_field(6, coerce=_integer)
+    learning_rate: float = spec_field(1e-3, coerce=_number)
+    decay_rate: float = spec_field(0.9, coerce=_number)
+    decay_every: int = spec_field(500, coerce=_integer)
+    seed: int = spec_field(0, coerce=_integer)
 
     def validate(self, path: str, errors: List[str]) -> None:
         """Append human-actionable problems to ``errors``."""
@@ -852,30 +549,12 @@ class TrainingSpec:
 
 
 @dataclass
-class TransientSectionSpec:
+class TransientSectionSpec(Spec):
     """Time scales of a transient workload (maps to ``TransientSpec``)."""
 
-    rho_cp: float = 1.6e6    # J/(m^3 K)
-    horizon: float = 4.0     # s
-    ic_grid: Tuple[int, int, int] = (5, 5, 4)
-
-    def to_dict(self) -> Dict:
-        """JSON-ready dict form."""
-        return {"rho_cp": self.rho_cp, "horizon": self.horizon,
-                "ic_grid": list(self.ic_grid)}
-
-    @classmethod
-    def from_dict(cls, data, path: str, errors: List[str]) -> "TransientSectionSpec":
-        """Parse from dict form, collecting errors instead of raising."""
-        data = _take(data, ["rho_cp", "horizon", "ic_grid"], path, errors)
-        ic_grid = _int_tuple(data.get("ic_grid"), 3, f"{path}.ic_grid", errors)
-        return cls(
-            rho_cp=_number(data.get("rho_cp"), f"{path}.rho_cp", errors,
-                           default=1.6e6),
-            horizon=_number(data.get("horizon"), f"{path}.horizon", errors,
-                            default=4.0),
-            ic_grid=ic_grid if ic_grid else (5, 5, 4),
-        )
+    rho_cp: float = spec_field(1.6e6, coerce=_number)  # J/(m^3 K)
+    horizon: float = spec_field(4.0, coerce=_number)   # s
+    ic_grid: Tuple[int, int, int] = spec_field((5, 5, 4), coerce=_int_tuple(3))
 
     def validate(self, path: str, errors: List[str]) -> None:
         """Append human-actionable problems to ``errors``."""
@@ -899,184 +578,66 @@ class TransientSectionSpec:
 # ----------------------------------------------------------------------
 # The scenario itself
 # ----------------------------------------------------------------------
+def _boundaries(value, path, errors, spec):
+    if not isinstance(value, Mapping):
+        errors.append(f"{path}: expected an object keyed by face name")
+        return DEFAULT
+    boundaries = {}
+    for face, bc_data in value.items():
+        if face not in _FACE_NAMES:
+            errors.append(f"{path}: unknown face {face!r} "
+                          f"(known: {', '.join(_FACE_NAMES)})")
+        else:
+            boundaries[face] = BoundarySpec.from_dict(bc_data, f"{path}.{face}",
+                                                      errors)
+    return boundaries
+
+
+def _loss_weights(value, path, errors, spec):
+    if value is None:
+        return DEFAULT
+    if (not isinstance(value, Mapping)
+            or any(isinstance(v, bool) or not isinstance(v, (int, float))
+                   for v in value.values())):
+        errors.append(f"{path}: expected an object of component -> numeric weight")
+        return DEFAULT
+    return {str(k): float(v) for k, v in value.items()}
+
+
 @dataclass
-class ThermalScenario:
+class ThermalScenario(Document):
     """A fully-declarative thermal workload (see module docstring)."""
 
-    name: str = "scenario"
+    name: str = spec_field("scenario", coerce=_name, required=True)
     description: str = ""
     scale: str = "custom"
     schema_version: int = SCHEMA_VERSION
-    t_ambient: float = 298.15
-    dt_ref: float = 10.0
-    seed: int = 0  # weight-init RNG seed
-    geometry: GeometrySpec = field(default_factory=GeometrySpec)
-    material: MaterialSpec = field(default_factory=MaterialSpec)
-    boundaries: Dict[str, BoundarySpec] = field(default_factory=dict)
-    volumetric_source: Optional[VolumetricSourceSpec] = None
-    inputs: List[InputSpec] = field(default_factory=list)
-    network: NetworkSpec = field(default_factory=NetworkSpec)
-    collocation: CollocationSpec = field(default_factory=CollocationSpec)
-    training: TrainingSpec = field(default_factory=TrainingSpec)
-    transient: Optional[TransientSectionSpec] = None
-    loss_weights: Optional[Dict[str, float]] = None
-    eval_grid: Tuple[int, int, int] = (13, 13, 9)
+    t_ambient: float = spec_field(298.15, coerce=_number)
+    dt_ref: float = spec_field(10.0, coerce=_number)
+    seed: int = spec_field(0, coerce=_integer)  # weight-init RNG seed
+    geometry: GeometrySpec = section_field(GeometrySpec)
+    material: MaterialSpec = section_field(MaterialSpec)
+    boundaries: Dict[str, BoundarySpec] = spec_field(default_factory=dict,
+                                                     coerce=_boundaries)
+    volumetric_source: Optional[VolumetricSourceSpec] = section_field(
+        VolumetricSourceSpec, optional=True
+    )
+    inputs: List[InputSpec] = section_list_field(InputSpec, "input")
+    network: NetworkSpec = section_field(NetworkSpec)
+    collocation: CollocationSpec = section_field(CollocationSpec)
+    training: TrainingSpec = section_field(TrainingSpec)
+    transient: Optional[TransientSectionSpec] = section_field(
+        TransientSectionSpec, optional=True
+    )
+    loss_weights: Optional[Dict[str, float]] = spec_field(None,
+                                                          coerce=_loss_weights)
+    eval_grid: Tuple[int, int, int] = spec_field((13, 13, 9), coerce=_int_tuple(3))
 
-    _TOP_LEVEL = ("name", "description", "scale", "schema_version", "t_ambient",
-                  "dt_ref", "seed", "geometry", "material", "boundaries",
-                  "volumetric_source", "inputs", "network", "collocation",
-                  "training", "transient", "loss_weights", "eval_grid")
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
     def to_dict(self) -> Dict:
-        """JSON-ready dict form."""
-        return {
-            "schema_version": self.schema_version,
-            "name": self.name,
-            "description": self.description,
-            "scale": self.scale,
-            "t_ambient": self.t_ambient,
-            "dt_ref": self.dt_ref,
-            "seed": self.seed,
-            "geometry": self.geometry.to_dict(),
-            "material": self.material.to_dict(),
-            "boundaries": {face: bc.to_dict()
-                           for face, bc in self.boundaries.items()},
-            "volumetric_source": (self.volumetric_source.to_dict()
-                                  if self.volumetric_source else None),
-            "inputs": [spec.to_dict() for spec in self.inputs],
-            "network": self.network.to_dict(),
-            "collocation": self.collocation.to_dict(),
-            "training": self.training.to_dict(),
-            "transient": self.transient.to_dict() if self.transient else None,
-            "loss_weights": (dict(self.loss_weights)
-                             if self.loss_weights else None),
-            "eval_grid": list(self.eval_grid),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ThermalScenario":
-        """Parse + validate; raises :class:`ScenarioValidationError`."""
-        errors: List[str] = []
-        if not isinstance(data, Mapping):
-            raise ScenarioValidationError(
-                [f"scenario: expected a JSON object, got {type(data).__name__}"]
-            )
-        version = data.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ScenarioValidationError([
-                f"schema_version: this build reads version {SCHEMA_VERSION}, "
-                f"got {version!r} — regenerate the scenario or upgrade repro"
-            ])
-        data = _take(data, cls._TOP_LEVEL, "scenario", errors)
-
-        scenario = cls(schema_version=SCHEMA_VERSION)
-        name = data.get("name")
-        if not isinstance(name, str) or not name:
-            errors.append("name: required (a non-empty string)")
-        else:
-            scenario.name = name
-        scenario.description = data.get("description", "")
-        scenario.scale = data.get("scale", "custom")
-        scenario.t_ambient = _number(data.get("t_ambient"), "t_ambient", errors,
-                                     default=298.15)
-        scenario.dt_ref = _number(data.get("dt_ref"), "dt_ref", errors,
-                                  default=10.0)
-        scenario.seed = _integer(data.get("seed"), "seed", errors, default=0)
-        if "geometry" in data:
-            scenario.geometry = GeometrySpec.from_dict(data["geometry"],
-                                                       "geometry", errors)
-        boundaries = data.get("boundaries", {})
-        if not isinstance(boundaries, Mapping):
-            errors.append("boundaries: expected an object keyed by face name")
-            boundaries = {}
-        for face, bc_data in boundaries.items():
-            if face not in _FACE_NAMES:
-                errors.append(f"boundaries: unknown face {face!r} "
-                              f"(known: {', '.join(_FACE_NAMES)})")
-                continue
-            scenario.boundaries[face] = BoundarySpec.from_dict(
-                bc_data, f"boundaries.{face}", errors
-            )
-        if "material" in data:
-            scenario.material = MaterialSpec.from_dict(data["material"],
-                                                       "material", errors)
-        if data.get("volumetric_source") is not None:
-            scenario.volumetric_source = VolumetricSourceSpec.from_dict(
-                data["volumetric_source"], "volumetric_source", errors
-            )
-        inputs = data.get("inputs", [])
-        if not isinstance(inputs, (list, tuple)):
-            errors.append("inputs: expected a list of input objects")
-            inputs = []
-        scenario.inputs = [
-            InputSpec.from_dict(spec, f"inputs[{index}]", errors)
-            for index, spec in enumerate(inputs)
-        ]
-        if "network" in data:
-            scenario.network = NetworkSpec.from_dict(data["network"], "network",
-                                                     errors)
-        if "collocation" in data:
-            scenario.collocation = CollocationSpec.from_dict(
-                data["collocation"], "collocation", errors
-            )
-        if "training" in data:
-            scenario.training = TrainingSpec.from_dict(data["training"],
-                                                       "training", errors)
-        if data.get("transient") is not None:
-            scenario.transient = TransientSectionSpec.from_dict(
-                data["transient"], "transient", errors
-            )
-        weights = data.get("loss_weights")
-        if weights is not None:
-            if (not isinstance(weights, Mapping)
-                    or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                           for v in weights.values())):
-                errors.append("loss_weights: expected an object of "
-                              "component -> numeric weight")
-            else:
-                scenario.loss_weights = {str(k): float(v)
-                                         for k, v in weights.items()}
-        eval_grid = _int_tuple(data.get("eval_grid"), 3, "eval_grid", errors)
-        if eval_grid:
-            scenario.eval_grid = eval_grid
-
-        errors.extend(scenario.validate())
-        if errors:
-            raise ScenarioValidationError(_dedupe(errors))
-        return scenario
-
-    def to_json(self, path: Optional[Union[str, Path]] = None) -> str:
-        """Serialize to JSON text, optionally writing ``path``."""
-        text = json.dumps(self.to_dict(), indent=2) + "\n"
-        if path is not None:
-            Path(path).write_text(text)
-        return text
-
-    @classmethod
-    def from_json(cls, source: Union[str, Path]) -> "ThermalScenario":
-        """Load from a JSON string or a ``.json`` file path."""
-        if isinstance(source, Path) or (
-            isinstance(source, str) and not source.lstrip().startswith("{")
-        ):
-            path = Path(source)
-            try:
-                text = path.read_text()
-            except OSError as error:
-                raise ScenarioValidationError(
-                    [f"cannot read scenario file {path}: {error}"]
-                ) from error
-        else:
-            text = source
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ScenarioValidationError(
-                [f"invalid JSON: {error}"]
-            ) from error
-        return cls.from_dict(data)
+        """JSON-ready dict form (an empty ``loss_weights`` reads as null)."""
+        out = super().to_dict()
+        out["loss_weights"] = out["loss_weights"] or None
+        return out
 
     # ------------------------------------------------------------------
     # Validation
@@ -1175,9 +736,7 @@ class ThermalScenario:
         payload = self.to_dict()
         for label in ("name", "description", "scale"):
             payload.pop(label, None)
-        canonical = json.dumps(payload, sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return canonical_digest(payload)
 
     # ------------------------------------------------------------------
     # Lowering
@@ -1271,12 +830,3 @@ class ThermalScenario:
             scenario=self,
         )
 
-
-def _dedupe(errors: Sequence[str]) -> List[str]:
-    seen = set()
-    out = []
-    for error in errors:
-        if error not in seen:
-            seen.add(error)
-            out.append(error)
-    return out

@@ -27,22 +27,27 @@ a first-class key in the checkpoint registry.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from ..api.scenario import (
+from ..api._codec import (
+    DEFAULT,
+    Document,
     ScenarioValidationError,
-    ThermalScenario,
+    Spec,
     _dedupe,
     _integer,
+    _name,
     _number,
-    _take,
+    canonical_digest,
+    read_json,
+    section_list_field,
+    spec_field,
 )
+from ..api.scenario import ThermalScenario
 
 FAMILY_SCHEMA_VERSION = 1
 
@@ -55,17 +60,26 @@ def _input_names(scenario: ThermalScenario) -> List[str]:
     ]
 
 
+def _axis_input(value, path, errors, spec):
+    if value is not None and not isinstance(value, str):
+        errors.append(f"{path}: expected an input name string, got {value!r}")
+        return DEFAULT
+    return value
+
+
 @dataclass
-class FamilyAxis:
+class FamilyAxis(Spec):
     """One sampled dimension of a scenario family (see module docstring)."""
 
     kind: str = "htc_range"
-    input: Optional[str] = None
-    low: float = 0.0
-    high: float = 1.0
-    member_width: float = 0.0
+    input: Optional[str] = spec_field(None, coerce=_axis_input)
+    low: float = spec_field(0.0, coerce=_number)
+    high: float = spec_field(1.0, coerce=_number)
+    member_width: float = spec_field(0.0, coerce=_number)
 
-    KINDS = ("htc_range", "conductivity", "trace_levels")
+    _TAG = "kind"
+    _TAG_NOUN = "axis kind"
+    _TAG_DEFAULT = "htc_range"
     _FIELDS = {
         "htc_range": ("input", "low", "high", "member_width"),
         "conductivity": ("low", "high"),
@@ -73,43 +87,6 @@ class FamilyAxis:
     }
     # Conditioning-vector entries contributed per axis kind.
     _WIDTH = {"htc_range": 2, "conductivity": 1, "trace_levels": 1}
-
-    def to_dict(self) -> Dict:
-        """JSON-ready dict form."""
-        out: Dict = {"kind": self.kind}
-        for key in self._FIELDS.get(self.kind, ()):
-            out[key] = getattr(self, key)
-        return out
-
-    @classmethod
-    def from_dict(cls, data, path: str, errors: List[str]) -> "FamilyAxis":
-        """Parse from dict form, collecting errors instead of raising."""
-        if not isinstance(data, Mapping):
-            errors.append(f"{path}: expected an object, got "
-                          f"{type(data).__name__}")
-            return cls()
-        kind = data.get("kind", "htc_range")
-        if kind not in cls.KINDS:
-            errors.append(f"{path}.kind: unknown axis kind {kind!r} "
-                          f"(known: {', '.join(cls.KINDS)})")
-            return cls()
-        data = _take(data, ("kind",) + cls._FIELDS[kind], path, errors)
-        axis = cls(kind=kind)
-        if "input" in cls._FIELDS[kind]:
-            target = data.get("input")
-            if target is not None and not isinstance(target, str):
-                errors.append(f"{path}.input: expected an input name string, "
-                              f"got {target!r}")
-                target = None
-            axis.input = target
-        axis.low = _number(data.get("low"), f"{path}.low", errors, default=0.0)
-        axis.high = _number(data.get("high"), f"{path}.high", errors,
-                            default=1.0)
-        if kind == "htc_range":
-            axis.member_width = _number(data.get("member_width"),
-                                        f"{path}.member_width", errors,
-                                        default=0.0)
-        return axis
 
     def validate(self, path: str, base: ThermalScenario,
                  errors: List[str]) -> None:
@@ -156,109 +133,45 @@ class FamilyAxis:
         return self._WIDTH[self.kind]
 
 
+def _base(value, path, errors, spec):
+    """The whole base scenario; its errors are prefixed with ``path``."""
+    try:
+        return ThermalScenario.from_dict(value)
+    except ScenarioValidationError as exc:
+        errors.extend(f"{path}: {err}" for err in exc.errors)
+        return DEFAULT
+
+
+def _conditioning_widths(value, path, errors, spec):
+    if (not isinstance(value, (list, tuple)) or not value
+            or any(isinstance(w, bool) or not isinstance(w, int) or w < 1
+                   for w in value)):
+        errors.append(f"{path}: expected a non-empty list of positive integer "
+                      f"widths, got {value!r}")
+        return DEFAULT
+    return tuple(int(w) for w in value)
+
+
 @dataclass
-class ScenarioFamily:
+class ScenarioFamily(Document):
     """A base scenario plus sampled axes (see module docstring)."""
 
-    name: str = "family"
+    family_schema_version: int = FAMILY_SCHEMA_VERSION
+    name: str = spec_field("family", coerce=_name, required=True)
     description: str = ""
-    base: ThermalScenario = field(default_factory=ThermalScenario)
-    axes: List[FamilyAxis] = field(default_factory=list)
-    n_members: int = 4
-    sample_seed: int = 0
-    conditioning_hidden: Tuple[int, ...] = (16, 16)
+    base: ThermalScenario = spec_field(default_factory=ThermalScenario,
+                                       coerce=_base, required=True)
+    axes: List[FamilyAxis] = section_list_field(FamilyAxis, "axis")
+    n_members: int = spec_field(4, coerce=_integer)
+    sample_seed: int = spec_field(0, coerce=_integer)
+    conditioning_hidden: Tuple[int, ...] = spec_field(
+        (16, 16), coerce=_conditioning_widths
+    )
 
-    _TOP_LEVEL = ("family_schema_version", "name", "description", "base",
-                  "axes", "n_members", "sample_seed", "conditioning_hidden")
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict:
-        """JSON-ready dict form."""
-        return {
-            "family_schema_version": FAMILY_SCHEMA_VERSION,
-            "name": self.name,
-            "description": self.description,
-            "base": self.base.to_dict(),
-            "axes": [axis.to_dict() for axis in self.axes],
-            "n_members": self.n_members,
-            "sample_seed": self.sample_seed,
-            "conditioning_hidden": list(self.conditioning_hidden),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ScenarioFamily":
-        """Parse + validate; raises :class:`ScenarioValidationError`."""
-        if not isinstance(data, Mapping):
-            raise ScenarioValidationError(
-                [f"family: expected a JSON object, got {type(data).__name__}"]
-            )
-        version = data.get("family_schema_version")
-        if version != FAMILY_SCHEMA_VERSION:
-            raise ScenarioValidationError([
-                f"family_schema_version: this build reads version "
-                f"{FAMILY_SCHEMA_VERSION}, got {version!r} — regenerate the "
-                f"family or upgrade repro"
-            ])
-        errors: List[str] = []
-        data = _take(data, cls._TOP_LEVEL, "family", errors)
-        family = cls()
-        name = data.get("name")
-        if not isinstance(name, str) or not name:
-            errors.append("family.name: required (a non-empty string)")
-        else:
-            family.name = name
-        family.description = data.get("description", "")
-        try:
-            family.base = ThermalScenario.from_dict(data.get("base"))
-        except ScenarioValidationError as exc:
-            errors.extend(f"family.base: {err}" for err in exc.errors)
-        raw_axes = data.get("axes", [])
-        if not isinstance(raw_axes, (list, tuple)):
-            errors.append("family.axes: expected a list of axis objects")
-            raw_axes = []
-        family.axes = [
-            FamilyAxis.from_dict(axis, f"family.axes[{index}]", errors)
-            for index, axis in enumerate(raw_axes)
-        ]
-        family.n_members = _integer(data.get("n_members"), "family.n_members",
-                                    errors, default=4)
-        family.sample_seed = _integer(data.get("sample_seed"),
-                                      "family.sample_seed", errors, default=0)
-        hidden = data.get("conditioning_hidden", [16, 16])
-        if (not isinstance(hidden, (list, tuple)) or not hidden
-                or any(isinstance(w, bool) or not isinstance(w, int)
-                       or w < 1 for w in hidden)):
-            errors.append("family.conditioning_hidden: expected a non-empty "
-                          f"list of positive integer widths, got {hidden!r}")
-        else:
-            family.conditioning_hidden = tuple(int(w) for w in hidden)
-        errors.extend(family.validate())
-        if errors:
-            raise ScenarioValidationError(_dedupe(errors))
-        return family
-
-    def to_json(self, path: Optional[Union[str, Path]] = None) -> str:
-        """Serialize to JSON text, optionally writing ``path``."""
-        text = json.dumps(self.to_dict(), indent=2) + "\n"
-        if path is not None:
-            Path(path).write_text(text)
-        return text
-
-    @classmethod
-    def from_json(cls, source: Union[str, Path]) -> "ScenarioFamily":
-        """Load from a JSON string or a ``.json`` file path."""
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            text = Path(source).read_text()
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ScenarioValidationError(
-                [f"family: not valid JSON ({exc})"]
-            ) from exc
-        return cls.from_dict(data)
+    _NOUN = "family"
+    _VERSION_KEY = "family_schema_version"
+    _FIELD_PATH = "family"
+    _BAD_JSON = "family: not valid JSON ({})"
 
     def validate(self) -> List[str]:
         """Every problem found (empty means the family is valid)."""
@@ -296,8 +209,7 @@ class ScenarioFamily:
             payload.pop(label, None)
             payload["base"].pop(label, None)
         payload["base"].pop("scale", None)
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return canonical_digest(payload)
 
     # ------------------------------------------------------------------
     # Member enumeration
@@ -532,14 +444,8 @@ class ScenarioFamily:
 
 def sniff_family_json(source: Union[str, Path]) -> bool:
     """Whether a JSON file/string is a family spec (vs a plain scenario)."""
-    text = str(source)
-    if not text.lstrip().startswith("{"):
-        try:
-            text = Path(source).read_text()
-        except OSError:
-            return False
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
+        data = read_json(source)
+    except ScenarioValidationError:
         return False
     return isinstance(data, Mapping) and "family_schema_version" in data
