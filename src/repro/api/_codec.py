@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import MISSING, field, fields, is_dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Union
@@ -57,10 +58,6 @@ def _take(data: Mapping, known: Sequence[str], path: str, errors: List[str]) -> 
     for key in unknown:
         errors.append(f"{path}: unknown field {key!r} (known: {', '.join(known)})")
     return {key: value for key, value in data.items() if key in known}
-
-
-def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
 
 
 # ----------------------------------------------------------------------
@@ -105,13 +102,29 @@ def section_list_field(cls, noun: str):
 # ----------------------------------------------------------------------
 # Coercers
 # ----------------------------------------------------------------------
+def _finite(value, path, errors):
+    """``value`` as a float, or DEFAULT after reporting NaN or infinity.
+
+    Python's ``json`` reads ``NaN`` and ``Infinity``; no spec field means
+    either.
+    """
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if math.isfinite(number):
+        return number
+    errors.append(f"{path}: expected a finite number, got {number!r}")
+    return DEFAULT
+
+
 def _number(value, path, errors, spec=None):
     if value is None:
         return DEFAULT
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         errors.append(f"{path}: expected a number, got {value!r}")
         return DEFAULT
-    return float(value)
+    return _finite(value, path, errors)
 
 
 def _integer(value, path, errors, spec=None):
@@ -137,7 +150,7 @@ def _name(value, path, errors, spec=None):
     return value
 
 
-def _tuple_of(length: int, types, noun: str):
+def _tuple_of(length: int, types, noun: str, convert):
     """Coercer for exactly ``length`` values of ``types``."""
     def coerce(value, path, errors, spec=None):
         if value is None:
@@ -147,24 +160,28 @@ def _tuple_of(length: int, types, noun: str):
                        for v in value)):
             errors.append(f"{path}: expected {length} {noun}, got {value!r}")
             return DEFAULT
-        return tuple(types[0](v) for v in value)
+        items = [convert(v, f"{path}[{index}]", errors)
+                 for index, v in enumerate(value)]
+        return DEFAULT if DEFAULT in items else tuple(items)
 
     return coerce
 
 
 def _int_tuple(length: int):
-    return _tuple_of(length, (int,), "integers")
+    return _tuple_of(length, int, "integers", lambda v, path, errors: int(v))
 
 
 def _float_tuple(length: int):
-    return _tuple_of(length, (float, int), "numbers")
+    return _tuple_of(length, (int, float), "numbers", _finite)
 
 
-def _widths(value, path, errors, spec=None):
-    """A non-empty tuple of integer layer widths."""
+def _widths(value, path, errors, spec=None, positive=False):
+    """A non-empty tuple of integer layer widths, each >= 1 if ``positive``."""
     if (not isinstance(value, (list, tuple)) or not value
-            or any(isinstance(w, bool) or not isinstance(w, int) for w in value)):
-        errors.append(f"{path}: expected a non-empty list of integer widths, "
+            or any(isinstance(w, bool) or not isinstance(w, int)
+                   or (positive and w < 1) for w in value)):
+        errors.append(f"{path}: expected a non-empty list of "
+                      f"{'positive ' if positive else ''}integer widths, "
                       f"got {value!r}")
         return DEFAULT
     return tuple(int(w) for w in value)
@@ -230,7 +247,8 @@ class Spec:
                 value = data.get(f.name)
                 coerce = f.metadata.get("coerce")
                 if coerce is not None:
-                    value = coerce(value, _join(field_path, f.name), errors, self)
+                    where = f"{field_path}.{f.name}" if field_path else f.name
+                    value = coerce(value, where, errors, self)
                 if value is not DEFAULT:
                     setattr(self, f.name, value)
 

@@ -29,8 +29,9 @@ Design rules
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -417,6 +418,28 @@ class NetworkSpec(Spec):
     fourier_std: float = spec_field(1.0, coerce=_number)
     activation: str = "swish"
 
+    def build(self, branches: Sequence[Tuple[int, Sequence[int]]],
+              trunk_coords: int, seed: int):
+        """The :class:`~repro.nn.MIONet`, weights drawn from one RNG.
+
+        One branch MLP per ``(sensor_dim, widths)`` pair, in order, then
+        the Fourier features, then the trunk: the draw order every
+        compiled model (and so every checkpoint) depends on.
+        """
+        from ..nn import MLP, FourierFeatures, MIONet, TrunkNet
+
+        rng = np.random.default_rng(seed)
+        nets = [
+            MLP([dim] + list(widths) + [self.q], activation=self.activation,
+                rng=rng)
+            for dim, widths in branches
+        ]
+        fourier = FourierFeatures(trunk_coords, self.fourier_frequencies,
+                                  std=self.fourier_std, rng=rng)
+        trunk = MLP([fourier.out_features] + list(self.trunk_hidden) + [self.q],
+                    activation=self.activation, rng=rng)
+        return MIONet(nets, TrunkNet(trunk, fourier))
+
     def validate(self, path: str, errors: List[str], n_inputs: int) -> None:
         """Append human-actionable problems to ``errors``."""
         if len(self.branch_hidden) != n_inputs:
@@ -547,6 +570,12 @@ class TrainingSpec(Spec):
             errors.append(f"{path}.decay_every: must be >= 1, "
                           f"got {self.decay_every}")
 
+    def build(self):
+        """The :class:`~repro.core.trainer.TrainerConfig` of this budget."""
+        from ..core.trainer import TrainerConfig
+
+        return TrainerConfig(**self.to_dict())
+
 
 @dataclass
 class TransientSectionSpec(Spec):
@@ -674,6 +703,18 @@ class ThermalScenario(Document):
         if any(n < 2 for n in self.eval_grid):
             errors.append(f"eval_grid: need >= 2 nodes per axis, "
                           f"got {list(self.eval_grid)}")
+        # The loss reads a missing weight as 1.0, so a misspelt key
+        # would weight nothing.
+        known = ["pde"] + [f"bc:{face.upper()}" for face in _FACE_NAMES]
+        if self.transient is not None:
+            known.append("ic")
+        for key, weight in (self.loss_weights or {}).items():
+            if key not in known:
+                errors.append(f"loss_weights: unknown component {key!r} "
+                              f"(known: {', '.join(known)})")
+            elif not (math.isfinite(weight) and weight >= 0):
+                errors.append(f"loss_weights[{key!r}]: must be finite and "
+                              f">= 0, got {weight}")
 
         has_transient_input = any(spec.family == "transient_power_map"
                                   for spec in self.inputs)
@@ -755,9 +796,7 @@ class ThermalScenario(Document):
         from ..core.configs import ChipConfig
         from ..core.model import DeepOHeat
         from ..core.presets import ExperimentSetup
-        from ..core.trainer import TrainerConfig
         from ..geometry import Face, StructuredGrid
-        from ..nn import MLP, FourierFeatures, MIONet, TrunkNet
 
         chip = self.geometry.build()
         bcs = {
@@ -780,27 +819,11 @@ class ThermalScenario(Document):
             for spec in self.inputs
         ]
 
-        rng = np.random.default_rng(self.seed)
-        q = self.network.q
-        branches = [
-            MLP(
-                [config_input.sensor_dim] + list(widths) + [q],
-                activation=self.network.activation,
-                rng=rng,
-            )
-            for config_input, widths in zip(inputs, self.network.branch_hidden)
-        ]
-        trunk_coords = 3 if self.transient is None else 4
-        fourier = FourierFeatures(
-            trunk_coords, self.network.fourier_frequencies,
-            std=self.network.fourier_std, rng=rng,
+        net = self.network.build(
+            [(spec.sensor_dim, widths)
+             for spec, widths in zip(inputs, self.network.branch_hidden)],
+            trunk_coords=3 if self.transient is None else 4, seed=self.seed,
         )
-        trunk_mlp = MLP(
-            [fourier.out_features] + list(self.network.trunk_hidden) + [q],
-            activation=self.network.activation,
-            rng=rng,
-        )
-        net = MIONet(branches, TrunkNet(trunk_mlp, fourier))
 
         model = DeepOHeat(
             config,
@@ -811,20 +834,12 @@ class ThermalScenario(Document):
             transient=self.transient.build() if self.transient else None,
         )
         plan = self.collocation.build(chip, model.nd, self.transient)
-        trainer_config = TrainerConfig(
-            iterations=self.training.iterations,
-            n_functions=self.training.n_functions,
-            learning_rate=self.training.learning_rate,
-            decay_rate=self.training.decay_rate,
-            decay_every=self.training.decay_every,
-            seed=self.training.seed,
-        )
         return ExperimentSetup(
             name=self.name,
             scale=self.scale,
             model=model,
             plan=plan,
-            trainer_config=trainer_config,
+            trainer_config=self.training.build(),
             eval_grid=StructuredGrid(chip, tuple(self.eval_grid)),
             description=self.description or f"scenario {self.name!r}",
             scenario=self,

@@ -287,24 +287,20 @@ def _config_report(path: str):
     from pathlib import Path
 
     from .api import ScenarioValidationError
-    from .family import ScenarioFamily, sniff_family_json
+    from .family import ScenarioFamily, load_spec
     from .nn.serialize import CheckpointCorrupt
 
     report = {"path": path}
     try:
-        if sniff_family_json(Path(path)):
-            spec = ScenarioFamily.from_json(Path(path))
-            report["kind"] = "family"
-            report["n_members"] = spec.n_members
-        else:
-            spec, errors = _load_scenario(path)
-            if errors:
-                report["errors"] = errors
-                return report
-            report["kind"] = "scenario"
+        spec = load_spec(Path(path))
     except ScenarioValidationError as error:
         report["errors"] = list(error.errors)
         return report
+    if isinstance(spec, ScenarioFamily):
+        report["kind"] = "family"
+        report["n_members"] = spec.n_members
+    else:
+        report["kind"] = "scenario"
     report["name"] = spec.name
     report["digest"] = spec.content_digest()
 
@@ -652,36 +648,25 @@ def _load_scenario(path: str):
 def _cmd_validate_config(args) -> int:
     from pathlib import Path
 
-    from .family import sniff_family_json
+    from .api import ScenarioValidationError
+    from .family import ScenarioFamily, load_spec
 
-    if sniff_family_json(Path(args.config)):
-        from .api import ScenarioValidationError
-        from .family import FAMILY_SCHEMA_VERSION, ScenarioFamily
-
-        try:
-            family = ScenarioFamily.from_json(Path(args.config))
-        except ScenarioValidationError as error:
-            print(f"{args.config}: INVALID ({len(error.errors)} error(s))")
-            for err in error.errors:
-                print(f"  - {err}")
-            return 2
-        print(f"{args.config}: ok")
-        print(f"  family: {family.name} ({family.n_members} member(s), "
-              f"{len(family.axes)} axis(es))")
-        print(f"  family schema version: {FAMILY_SCHEMA_VERSION}")
-        print(f"  content digest: {family.content_digest()[:16]}")
-        return 0
-
-    scenario, errors = _load_scenario(args.config)
-    if errors:
-        print(f"{args.config}: INVALID ({len(errors)} error(s))")
-        for error in errors:
-            print(f"  - {error}")
+    try:
+        spec = load_spec(Path(args.config))
+    except ScenarioValidationError as error:
+        print(f"{args.config}: INVALID ({len(error.errors)} error(s))")
+        for err in error.errors:
+            print(f"  - {err}")
         return 2
     print(f"{args.config}: ok")
-    print(f"  scenario: {scenario.name} (scale={scenario.scale})")
-    print(f"  schema version: {scenario.schema_version}")
-    print(f"  content digest: {scenario.content_digest()[:16]}")
+    if isinstance(spec, ScenarioFamily):
+        print(f"  family: {spec.name} ({spec.n_members} member(s), "
+              f"{len(spec.axes)} axis(es))")
+        print(f"  family schema version: {spec.family_schema_version}")
+    else:
+        print(f"  scenario: {spec.name} (scale={spec.scale})")
+        print(f"  schema version: {spec.schema_version}")
+    print(f"  content digest: {spec.content_digest()[:16]}")
     return 0
 
 

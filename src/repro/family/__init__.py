@@ -24,7 +24,7 @@ from .spec import (
     FAMILY_SCHEMA_VERSION,
     FamilyAxis,
     ScenarioFamily,
-    sniff_family_json,
+    load_spec,
 )
 from .trainer import FamilySetup
 
@@ -34,5 +34,5 @@ __all__ = [
     "FamilyEncodedInput",
     "FamilySetup",
     "ScenarioFamily",
-    "sniff_family_json",
+    "load_spec",
 ]

@@ -42,6 +42,7 @@ from ..api._codec import (
     _integer,
     _name,
     _number,
+    _widths,
     canonical_digest,
     read_json,
     section_list_field,
@@ -143,13 +144,7 @@ def _base(value, path, errors, spec):
 
 
 def _conditioning_widths(value, path, errors, spec):
-    if (not isinstance(value, (list, tuple)) or not value
-            or any(isinstance(w, bool) or not isinstance(w, int) or w < 1
-                   for w in value)):
-        errors.append(f"{path}: expected a non-empty list of positive integer "
-                      f"widths, got {value!r}")
-        return DEFAULT
-    return tuple(int(w) for w in value)
+    return _widths(value, path, errors, positive=True)
 
 
 @dataclass
@@ -223,29 +218,17 @@ class ScenarioFamily(Document):
         independent of ``n_members``.
         """
         rng = np.random.default_rng([int(self.sample_seed), int(index)])
-        data = self.base.to_dict()
-        names = _input_names(self.base)
+        bounds = []
         for axis in self.axes:
             if axis.kind == "htc_range":
-                spot = names.index(axis.input)
                 half = axis.member_width / 2.0
                 center = float(rng.uniform(axis.low + half, axis.high - half))
-                data["inputs"][spot]["low"] = center - half
-                data["inputs"][spot]["high"] = center + half
-            elif axis.kind == "conductivity":
-                data["material"]["conductivity"] = float(
-                    rng.uniform(axis.low, axis.high)
-                )
-            else:  # trace_levels
-                spot = names.index(axis.input)
-                scale = float(rng.uniform(axis.low, axis.high))
-                level = data["inputs"][spot]["traces"]["level_range"]
-                data["inputs"][spot]["traces"]["level_range"] = [
-                    level[0] * scale, level[1] * scale,
-                ]
-        data["name"] = f"{self.name}-m{index:03d}"
-        data["description"] = f"member {index} of family {self.name!r}"
-        return ThermalScenario.from_dict(data)
+                bounds.append((center - half, center + half))
+            else:  # one draw: a conductivity or a trace-level scale
+                draw = float(rng.uniform(axis.low, axis.high))
+                bounds.append((draw, draw))
+        return self._variant(bounds, f"{self.name}-m{index:03d}",
+                             f"member {index} of family {self.name!r}")
 
     def members(self) -> List[ThermalScenario]:
         """The training members (indices ``0..n_members-1``)."""
@@ -261,25 +244,36 @@ class ScenarioFamily(Document):
         This is the *encoding* scenario: its inputs normalize over the
         full family envelope, so every member (and any covered
         fine-tune target) encodes consistently through one shared
-        branch stack.
+        branch stack.  A conductivity axis sits at its midpoint; trace
+        levels take the widest plausible range.
+        """
+        bounds = [((axis.low + axis.high) / 2.0,) * 2
+                  if axis.kind == "conductivity" else (axis.low, axis.high)
+                  for axis in self.axes]
+        return self._variant(bounds, f"{self.name}-envelope",
+                             f"encoding envelope of family {self.name!r}")
+
+    def _variant(self, bounds, name: str, description: str) -> ThermalScenario:
+        """The base with each axis set from its ``(low, high)`` bound.
+
+        An HTC range takes the pair as its sub-range, a conductivity its
+        first entry; trace levels scale the low / high end of the base
+        ``level_range`` by the pair.
         """
         data = self.base.to_dict()
         names = _input_names(self.base)
-        for axis in self.axes:
+        for axis, (low, high) in zip(self.axes, bounds):
+            if axis.kind == "conductivity":
+                data["material"]["conductivity"] = low
+                continue
+            spec = data["inputs"][names.index(axis.input)]
             if axis.kind == "htc_range":
-                spot = names.index(axis.input)
-                data["inputs"][spot]["low"] = axis.low
-                data["inputs"][spot]["high"] = axis.high
-            elif axis.kind == "conductivity":
-                data["material"]["conductivity"] = (axis.low + axis.high) / 2.0
-            else:  # trace_levels: widest plausible level range
-                spot = names.index(axis.input)
-                level = data["inputs"][spot]["traces"]["level_range"]
-                data["inputs"][spot]["traces"]["level_range"] = [
-                    level[0] * axis.low, level[1] * axis.high,
-                ]
-        data["name"] = f"{self.name}-envelope"
-        data["description"] = f"encoding envelope of family {self.name!r}"
+                spec["low"], spec["high"] = low, high
+            else:  # trace_levels
+                level = spec["traces"]["level_range"]
+                spec["traces"]["level_range"] = [level[0] * low, level[1] * high]
+        data["name"] = name
+        data["description"] = description
         return ThermalScenario.from_dict(data)
 
     # ------------------------------------------------------------------
@@ -294,47 +288,50 @@ class ScenarioFamily(Document):
         and the ``training`` section (a warm start replaces the weights
         wholesale and fine-tune budgets legitimately differ).
         """
-        base = self.base.to_dict()
-        cand = scenario.to_dict()
+        names = _input_names(self.base)
+        if _input_names(scenario) != names:
+            return False
+        base, cand = self.base.to_dict(), scenario.to_dict()
         for payload in (base, cand):
             for label in ("name", "description", "scale", "seed", "training"):
                 payload.pop(label, None)
-        base_names = _input_names(self.base)
-        cand_names = _input_names(scenario)
-        if base_names != cand_names:
-            return False
-        for axis in self.axes:
-            if axis.kind == "htc_range":
-                spot = base_names.index(axis.input)
-                spec = scenario.inputs[spot]
-                if spec.low >= spec.high:
+        for axis, (low, high) in zip(self.axes, self._bounds_of(scenario)):
+            if axis.kind == "htc_range" and low >= high:
+                return False
+            if axis.kind == "trace_levels":
+                if abs(low - high) > tol:  # one scale for both ends
                     return False
-                if (spec.low < axis.low - tol
-                        or spec.high > axis.high + tol):
-                    return False
-                for payload in (base, cand):
-                    payload["inputs"][spot]["low"] = None
-                    payload["inputs"][spot]["high"] = None
-            elif axis.kind == "conductivity":
-                value = scenario.material.conductivity
-                if value < axis.low - tol or value > axis.high + tol:
-                    return False
-                for payload in (base, cand):
+                high = low
+            if low < axis.low - tol or high > axis.high + tol:
+                return False
+            for payload in (base, cand):  # the axis value is free
+                if axis.kind == "conductivity":
                     payload["material"]["conductivity"] = None
-            else:  # trace_levels
-                spot = base_names.index(axis.input)
-                base_level = self.base.inputs[spot].traces.level_range
-                cand_level = scenario.inputs[spot].traces.level_range
-                scales = [cand_level[0] / base_level[0],
-                          cand_level[1] / base_level[1]]
-                if abs(scales[0] - scales[1]) > tol:
-                    return False
-                if (scales[0] < axis.low - tol
-                        or scales[0] > axis.high + tol):
-                    return False
-                for payload in (base, cand):
-                    payload["inputs"][spot]["traces"]["level_range"] = None
+                    continue
+                spec = payload["inputs"][names.index(axis.input)]
+                if axis.kind == "htc_range":
+                    spec["low"] = spec["high"] = None
+                else:
+                    spec["traces"]["level_range"] = None
         return base == cand
+
+    def _bounds_of(self, scenario: ThermalScenario):
+        """Each axis's ``(low, high)`` in ``scenario``; inverts :meth:`_variant`."""
+        names = _input_names(scenario)
+        bounds = []
+        for axis in self.axes:
+            if axis.kind == "conductivity":
+                bounds.append((scenario.material.conductivity,) * 2)
+                continue
+            spot = names.index(axis.input)
+            spec = scenario.inputs[spot]
+            if axis.kind == "htc_range":
+                bounds.append((spec.low, spec.high))
+            else:  # trace_levels: the scale of each end of the base range
+                level = self.base.inputs[spot].traces.level_range
+                bounds.append((spec.traces.level_range[0] / level[0],
+                               spec.traces.level_range[1] / level[1]))
+        return bounds
 
     # ------------------------------------------------------------------
     # Conditioning
@@ -353,23 +350,12 @@ class ScenarioFamily(Document):
         all-central member still produces a non-degenerate branch
         input under the MIONet Hadamard merge.
         """
-        names = _input_names(scenario)
         entries: List[float] = []
-        for axis in self.axes:
+        for axis, (low, high) in zip(self.axes, self._bounds_of(scenario)):
             span = axis.high - axis.low
+            entries.append((low - axis.low) / span)
             if axis.kind == "htc_range":
-                spec = scenario.inputs[names.index(axis.input)]
-                entries.append((spec.low - axis.low) / span)
-                entries.append((spec.high - axis.low) / span)
-            elif axis.kind == "conductivity":
-                value = scenario.material.conductivity
-                entries.append((value - axis.low) / span)
-            else:  # trace_levels
-                spot = names.index(axis.input)
-                base_level = self.base.inputs[spot].traces.level_range
-                scale = scenario.inputs[spot].traces.level_range[0] \
-                    / base_level[0]
-                entries.append((scale - axis.low) / span)
+                entries.append((high - axis.low) / span)
         entries.append(1.0)
         return np.asarray(entries, dtype=np.float64)
 
@@ -390,62 +376,37 @@ class ScenarioFamily(Document):
         errors = self.validate()
         if errors:
             raise ScenarioValidationError(errors)
-        from ..core.trainer import TrainerConfig
-        from ..nn import MLP, FourierFeatures, MIONet, TrunkNet
         from .trainer import FamilySetup
 
         env_setup = self.envelope().compile()
         env_inputs = env_setup.model.inputs
         network = self.base.network
-
-        rng = np.random.default_rng(self.base.seed)
-        q = network.q
-        branches = [
-            MLP([config_input.sensor_dim] + list(widths) + [q],
-                activation=network.activation, rng=rng)
-            for config_input, widths in zip(env_inputs, network.branch_hidden)
-        ]
-        branches.append(
-            MLP([self.conditioning_dim] + list(self.conditioning_hidden) + [q],
-                activation=network.activation, rng=rng)
+        branches = [(spec.sensor_dim, widths)
+                    for spec, widths in zip(env_inputs, network.branch_hidden)]
+        branches.append((self.conditioning_dim, self.conditioning_hidden))
+        net = network.build(
+            branches, trunk_coords=3 if self.base.transient is None else 4,
+            seed=self.base.seed,
         )
-        trunk_coords = 3 if self.base.transient is None else 4
-        fourier = FourierFeatures(
-            trunk_coords, network.fourier_frequencies,
-            std=network.fourier_std, rng=rng,
-        )
-        trunk_mlp = MLP(
-            [fourier.out_features] + list(network.trunk_hidden) + [q],
-            activation=network.activation, rng=rng,
-        )
-        net = MIONet(branches, TrunkNet(trunk_mlp, fourier))
-
         members = self.members()
-        training = self.base.training
-        trainer_config = TrainerConfig(
-            iterations=training.iterations,
-            n_functions=training.n_functions,
-            learning_rate=training.learning_rate,
-            decay_rate=training.decay_rate,
-            decay_every=training.decay_every,
-            seed=training.seed,
-        )
         setup = FamilySetup(
             family=self,
             net=net,
             envelope_inputs=env_inputs,
             members=members,
             setups=[],
-            trainer_config=trainer_config,
+            trainer_config=self.base.training.build(),
         )
         setup.setups = [setup.member_setup(member) for member in members]
         return setup
 
 
-def sniff_family_json(source: Union[str, Path]) -> bool:
-    """Whether a JSON file/string is a family spec (vs a plain scenario)."""
-    try:
-        data = read_json(source)
-    except ScenarioValidationError:
-        return False
-    return isinstance(data, Mapping) and "family_schema_version" in data
+def load_spec(source: Union[str, Path]) -> Union[ThermalScenario, ScenarioFamily]:
+    """Read a scenario or a family JSON, told apart by ``family_schema_version``.
+
+    Raises :class:`~repro.api.ScenarioValidationError` when the file is
+    unreadable, not JSON, or not a valid spec of its kind.
+    """
+    data = read_json(source)
+    is_family = isinstance(data, Mapping) and "family_schema_version" in data
+    return (ScenarioFamily if is_family else ThermalScenario).from_dict(data)

@@ -947,15 +947,13 @@ def serve_main(
     before, falling back to a covering family ancestor when their own
     checkpoint is missing.
     """
-    from ..family import ScenarioFamily, sniff_family_json
+    from ..family import ScenarioFamily, load_spec
 
     scenarios = []
     families = []
     for path in scenario_paths:
-        if sniff_family_json(path):
-            families.append(ScenarioFamily.from_json(path))
-        else:
-            scenarios.append(ThermalScenario.from_json(path))
+        spec = load_spec(path)
+        (families if isinstance(spec, ScenarioFamily) else scenarios).append(spec)
     server = ThermalServer(
         host=host, port=port, max_batch=max_batch, max_wait=max_wait,
         queue_depth=queue_depth, memory_budget=memory_budget,

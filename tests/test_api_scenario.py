@@ -141,6 +141,18 @@ class TestSchemaRejection:
         with pytest.raises(ScenarioValidationError, match="cannot read"):
             ThermalScenario.from_json(tmp_path / "nope.json")
 
+    def test_non_finite_json_literals_rejected(self):
+        # Python's json reads NaN / Infinity; the spec must not.
+        text = scenario_for("a", scale="test").to_json()
+        text = text.replace('"t_ambient": 298.15', '"t_ambient": NaN')
+        text = text.replace('"dt_ref": 10.0', '"dt_ref": Infinity')
+        with pytest.raises(ScenarioValidationError) as info:
+            ThermalScenario.from_json(text)
+        assert info.value.errors == [
+            "t_ambient: expected a finite number, got nan",
+            "dt_ref: expected a finite number, got inf",
+        ]
+
 
 class TestValidationRules:
     def test_transient_input_requires_section(self):
@@ -172,6 +184,22 @@ class TestValidationRules:
         data["inputs"][0]["family"] = "antigravity"
         with pytest.raises(ScenarioValidationError, match="antigravity"):
             ThermalScenario.from_dict(data)
+
+    def test_misspelt_loss_weight_is_rejected_not_ignored(self):
+        scenario = scenario_for("b", scale="test")
+        scenario.loss_weights = {"bc:top": 30.0}
+        with pytest.raises(ScenarioValidationError, match="'bc:top'"):
+            scenario.compile()
+
+    def test_ic_weight_needs_a_transient_section(self):
+        assert scenario_for("transient", scale="test").loss_weights == {"ic": 4.0}
+        assert scenario_for("transient", scale="test").validate() == []
+        scenario = scenario_for("a", scale="test")
+        scenario.loss_weights = {"ic": 4.0, "pde": 1.0}
+        assert scenario.validate() == [
+            "loss_weights: unknown component 'ic' (known: pde, bc:XMIN, "
+            "bc:XMAX, bc:YMIN, bc:YMAX, bc:BOTTOM, bc:TOP)"
+        ]
 
     def test_compile_raises_on_invalid(self):
         scenario = scenario_for("a", scale="test")
@@ -236,14 +264,9 @@ class TestNovelScenarios:
         assert setup.model.net.num_parameters() > 0
 
     def test_every_shipped_scenario_is_valid(self):
-        from repro.family import ScenarioFamily, sniff_family_json
+        from repro.family import load_spec
 
         files = sorted(SCENARIO_DIR.glob("*.json"))
         assert len(files) >= 6
         for path in files:
-            if sniff_family_json(path):
-                family = ScenarioFamily.from_json(path)
-                assert family.validate() == []
-                continue
-            scenario = ThermalScenario.from_json(path)
-            assert scenario.validate() == []
+            assert load_spec(path).validate() == []

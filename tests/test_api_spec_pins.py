@@ -190,6 +190,8 @@ class TestIdentityPins:
 # Golden corpus of broken specs
 # ----------------------------------------------------------------------
 DROP = object()
+NAN = float("nan")
+INF = float("inf")
 
 A = "experiment_a_test.json"
 B = "experiment_b_test.json"
@@ -388,6 +390,32 @@ CORPUS = [
     ("loss_weights.not_object", A, [(("loss_weights",), [1.0])]),
     ("loss_weights.value_type", A, [(("loss_weights",), {"pde": "x"})]),
     ("loss_weights.value_bool", A, [(("loss_weights",), {"pde": True})]),
+    ("loss_weights.unknown_key", B, [(("loss_weights", "bc:top"), 30.0)]),
+    ("loss_weights.ic_without_transient", A, [(("loss_weights",), {"ic": 4.0})]),
+    ("loss_weights.negative", B, [(("loss_weights", "bc:TOP"), -1.0)]),
+    ("loss_weights.nan", B, [(("loss_weights", "pde"), NAN)]),
+    # -- non-finite numbers ---------------------------------------------
+    ("nonfinite.t_ambient", A, [(("t_ambient",), NAN)]),
+    ("nonfinite.dt_ref", A, [(("dt_ref",), INF)]),
+    ("nonfinite.huge_integer", A, [(("t_ambient",), 10**400)]),
+    ("nonfinite.conductivity", A, [(("material", "conductivity"), NAN)]),
+    ("nonfinite.size_mm", A, [(("geometry", "size_mm"), [NAN, 1, 0.5])]),
+    ("nonfinite.htc", B, [(("boundaries", "top", "htc"), INF)]),
+    ("nonfinite.input_low", B, [(("inputs", 0, "low"), -INF)]),
+    ("nonfinite.focus_band", B, [(("collocation", "focus_band"), [0.4, 0.6, NAN])]),
+    ("nonfinite.learning_rate", A, [(("training", "learning_rate"), NAN)]),
+    ("nonfinite.trace_weights", T, [(("inputs", 0, "traces", "weights"), [1, NAN, 1])]),
+    ("nonfinite.horizon", T, [(("transient", "horizon"), INF)]),
+    ("axis.nonfinite_high", F, [(("axes", 0, "high"), INF)]),
+    (
+        "family.nonfinite_several",
+        F,
+        [
+            (("base", "t_ambient"), NAN),
+            (("base", "geometry", "origin_mm"), [0, INF, 0]),
+            (("axes", 1, "member_width"), NAN),
+        ],
+    ),
     # -- several sections at once ----------------------------------------
     (
         "several.sections",
@@ -786,6 +814,7 @@ GOLDEN = {
         "transient.ic_grid: need >= 2 nodes per axis, got [1, 5, 4]",
     ],
     "transient.missing": [
+        "loss_weights: unknown component 'ic' (known: pde, bc:XMIN, bc:XMAX, bc:YMIN, bc:YMAX, bc:BOTTOM, bc:TOP)",
         "transient: a 'transient_power_map' input needs a transient section (rho_cp, horizon, ic_grid)",
         "collocation.kind: 'transient' collocation needs a transient section",
     ],
@@ -801,6 +830,50 @@ GOLDEN = {
     ],
     "loss_weights.value_bool": [
         "loss_weights: expected an object of component -> numeric weight",
+    ],
+    "loss_weights.unknown_key": [
+        "loss_weights: unknown component 'bc:top' (known: pde, bc:XMIN, bc:XMAX, bc:YMIN, bc:YMAX, bc:BOTTOM, bc:TOP)",
+    ],
+    "loss_weights.ic_without_transient": [
+        "loss_weights: unknown component 'ic' (known: pde, bc:XMIN, bc:XMAX, bc:YMIN, bc:YMAX, bc:BOTTOM, bc:TOP)",
+    ],
+    "loss_weights.negative": [
+        "loss_weights['bc:TOP']: must be finite and >= 0, got -1.0",
+    ],
+    "loss_weights.nan": ["loss_weights['pde']: must be finite and >= 0, got nan"],
+    "nonfinite.t_ambient": ["t_ambient: expected a finite number, got nan"],
+    "nonfinite.dt_ref": ["dt_ref: expected a finite number, got inf"],
+    "nonfinite.huge_integer": ["t_ambient: expected a finite number, got inf"],
+    "nonfinite.conductivity": [
+        "material.conductivity: expected a finite number, got nan",
+    ],
+    "nonfinite.size_mm": ["geometry.size_mm[0]: expected a finite number, got nan"],
+    "nonfinite.htc": [
+        "boundaries.top.htc: expected a finite number, got inf",
+        "boundaries.top: convection needs a positive 'htc', got None",
+    ],
+    "nonfinite.input_low": ["inputs[0].low: expected a finite number, got -inf"],
+    "nonfinite.focus_band": [
+        "collocation.focus_band[2]: expected a finite number, got nan",
+    ],
+    "nonfinite.learning_rate": [
+        "training.learning_rate: expected a finite number, got nan",
+    ],
+    "nonfinite.trace_weights": [
+        "inputs[0].traces.weights[1]: expected a finite number, got nan",
+    ],
+    "nonfinite.horizon": ["transient.horizon: expected a finite number, got inf"],
+    "axis.nonfinite_high": [
+        "family.axes[0].high: expected a finite number, got inf",
+        "family.axes[0]: need low < high, got [200.0, 1.0]",
+        "family.axes[0].member_width: must be narrower than the envelope span -199, got 300",
+    ],
+    "family.nonfinite_several": [
+        "family.base: t_ambient: expected a finite number, got nan",
+        "family.base: geometry.origin_mm[1]: expected a finite number, got inf",
+        "family.axes[1].member_width: expected a finite number, got nan",
+        "family.axes[0].input: no base input named 'htc_top' (known: )",
+        "family.axes[1].input: no base input named 'htc_bottom' (known: )",
     ],
     "several.sections": [
         "geometry: unknown field 'rotation' (known: size_mm, origin_mm)",

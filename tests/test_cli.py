@@ -220,6 +220,15 @@ class TestValidateConfig:
         assert main(["validate-config", str(tmp_path / "nope.json")]) == 2
         assert "cannot read" in capsys.readouterr().out
 
+    def test_non_finite_number_exits_2(self, tmp_path, capsys):
+        data = json.loads((SCENARIO_DIR / "experiment_a_test.json").read_text())
+        data["geometry"]["size_mm"][0] = float("nan")  # json writes NaN
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate-config", str(bad)]) == 2
+        out = capsys.readouterr().out
+        assert "geometry.size_mm[0]: expected a finite number, got nan" in out
+
 
 class TestRunConfig:
     @pytest.fixture()

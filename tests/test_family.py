@@ -22,7 +22,7 @@ from repro.family import (
     FamilyEncodedInput,
     FamilySetup,
     ScenarioFamily,
-    sniff_family_json,
+    load_spec,
 )
 from repro.nn.serialize import CheckpointCorrupt
 
@@ -160,13 +160,29 @@ class TestSpec:
         alien.material.conductivity = 5.0
         assert not family.covers(alien)
 
-    def test_sniff_family_json(self, tmp_path):
+    def test_unreadable_file_is_a_validation_error(self, tmp_path):
+        with pytest.raises(ScenarioValidationError) as info:
+            ScenarioFamily.from_json(tmp_path / "missing.json")
+        (error,) = info.value.errors
+        assert error.startswith(f"cannot read family file {tmp_path / 'missing.json'}:")
+
+    def test_invalid_json_message(self):
+        with pytest.raises(ScenarioValidationError) as info:
+            ScenarioFamily.from_json("{not json")
+        assert info.value.errors == [
+            "family: not valid JSON (Expecting property name enclosed in "
+            "double quotes: line 1 column 2 (char 1))"
+        ]
+
+    def test_load_spec_tells_family_from_scenario(self, tmp_path):
         fam_path = tmp_path / "fam.json"
         fam_path.write_text(_family().to_json())
         scen_path = tmp_path / "scen.json"
         scen_path.write_text(json.dumps(_BASE))
-        assert sniff_family_json(fam_path)
-        assert not sniff_family_json(scen_path)
+        assert load_spec(fam_path).to_dict() == _family().to_dict()
+        assert isinstance(load_spec(scen_path), ThermalScenario)
+        with pytest.raises(ScenarioValidationError, match="cannot read scenario"):
+            load_spec(tmp_path / "missing.json")
 
 
 # ----------------------------------------------------------------------

@@ -505,6 +505,19 @@ class TestDaemonEndToEnd:
                     client.predict(scn, _designs_inline(scn), t=0.5)
                 assert info.value.code == "bad_request"
 
+    def test_non_finite_spec_answers_bad_request(self, registry_dir):
+        # The wire is JSON with NaN allowed; the spec parser rejects it.
+        raw = _tiny("a").to_dict()
+        raw["material"]["conductivity"] = float("nan")
+        with ThermalServer(cache_dir=registry_dir) as server:
+            with ThermalClient(port=server.port) as client:
+                with pytest.raises(ServerError) as info:
+                    client._call({"op": "predict", "scenario": raw,
+                                  "designs": []})
+        assert info.value.code == "bad_request"
+        assert ("material.conductivity: expected a finite number, got nan"
+                in str(info.value))
+
     def test_malformed_frame_gets_error_not_hang(self, registry_dir):
         import socket as socket_mod
 
