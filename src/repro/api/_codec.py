@@ -20,10 +20,11 @@ errors are collected with their dotted path, never raised mid-walk.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
-from dataclasses import MISSING, field, fields, is_dataclass
+from dataclasses import MISSING, field, fields
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
@@ -190,14 +191,36 @@ def _widths(value, path, errors, spec=None, positive=False):
 # ----------------------------------------------------------------------
 # The walk
 # ----------------------------------------------------------------------
+# The daemon takes a content digest, and so a to_dict, several times per
+# request: the walk reads each class's layout once and skips scalars.
+@functools.lru_cache(maxsize=None)
+def _fields(cls) -> tuple:
+    return fields(cls)
+
+
+@functools.lru_cache(maxsize=None)
+def _names(cls) -> tuple:
+    return tuple(f.name for f in fields(cls))
+
+
+@functools.lru_cache(maxsize=None)
+def _omit_none(cls) -> frozenset:
+    return frozenset(f.name for f in fields(cls) if f.metadata.get("omit_none"))
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def _plain(value):
-    """JSON-ready form of one field value."""
-    if is_dataclass(value):
-        return value.to_dict()
+    """JSON-ready form of one field value (scalars pass through)."""
+    if type(value) in _SCALARS:
+        return value
     if isinstance(value, (list, tuple)):
-        return [_plain(item) for item in value]
+        return [item if type(item) in _SCALARS else _plain(item) for item in value]
     if isinstance(value, dict):
         return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, Spec):
+        return value.to_dict()
     return value
 
 
@@ -218,17 +241,19 @@ class Spec:
     def _keys(self) -> tuple:
         """The JSON keys, in order."""
         if self._TAG is None:
-            return tuple(f.name for f in fields(self))
+            return _names(type(self))
         return (self._TAG,) + self._FIELDS.get(getattr(self, self._TAG), ())
 
     def to_dict(self) -> Dict:
         """JSON-ready dict form."""
-        omit = {f.name for f in fields(self) if f.metadata.get("omit_none")}
-        return {
-            key: _plain(getattr(self, key))
-            for key in self._keys()
-            if not (key in omit and getattr(self, key) is None)
-        }
+        omit = _omit_none(type(self))
+        out = {}
+        for key in self._keys():
+            value = getattr(self, key)
+            if value is None and key in omit:
+                continue
+            out[key] = value if type(value) in _SCALARS else _plain(value)
+        return out
 
     def _decode(self, data, path: str, errors: List[str],
                 field_path: Optional[str] = None) -> None:
@@ -240,7 +265,7 @@ class Spec:
         keys = self._keys()
         data = _take(data, keys, path, errors)
         field_path = path if field_path is None else field_path
-        for f in fields(self):
+        for f in _fields(type(self)):
             if f.name not in keys:
                 continue
             if f.name in data or f.metadata.get("required"):
