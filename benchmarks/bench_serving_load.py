@@ -8,9 +8,10 @@ a stream of predict requests over its own socket, twice per rung:
 
 * **unbatched** — ``max_batch=1``: every request is its own engine
   call (what a naive daemon would do);
-* **micro-batched** — ``max_batch=8`` with a 5 ms window: concurrent
-  requests sharing the scenario digest + grid fuse into one merge
-  dgemm.
+* **micro-batched** — ``max_batch=8``: whenever a backlog forms
+  behind the compute thread, the queued requests sharing the scenario
+  digest + grid fuse into one merge dgemm (no batching window: an idle
+  daemon dispatches at once).
 
 Parity is *always* asserted, in every mode: every response fetched
 through the socket must match the serial in-process
@@ -18,8 +19,8 @@ through the socket must match the serial in-process
 bitwise identical — the newline-JSON protocol round-trips floats
 exactly).  The throughput ratio (batched vs unbatched at >= 4 clients)
 is gated only on machines with >= 4 cores and ``REPRO_SMOKE`` unset:
-on a 1-core runner both daemons timeshare one CPU and the window can
-only add latency, so the ratio would gate on scheduler noise.
+on a 1- or 2-core runner both daemons timeshare the same cores with
+the client threads, so the ratio would gate on scheduler noise.
 
 Run with ``pytest benchmarks/bench_serving_load.py``; numbers land in
 ``benchmarks/out/serving_load.{json,txt}`` (and the repo-root
@@ -41,7 +42,6 @@ CLIENT_LADDER = [1, 2, 4, 8]
 REQUESTS_PER_CLIENT = 4 if SMOKE else 12
 DESIGNS_PER_REQUEST = 4
 MAX_BATCH = 8
-MAX_WAIT = 0.005
 MAX_DEV_K = 1e-8
 #: batched-vs-unbatched throughput at the 4-client rung; only gated
 #: where the fused dgemm has real cores to win on.
@@ -92,10 +92,9 @@ def test_serving_load(out_dir):
     scenario = _scenario()
     report = {
         "smoke": SMOKE,
-        "cores": os.cpu_count() or 1,
+        "cpu_count": os.cpu_count() or 1,
         "scale": MODEL_SCALE,
         "max_batch": MAX_BATCH,
-        "max_wait_seconds": MAX_WAIT,
         "requests_per_client": REQUESTS_PER_CLIENT,
         "designs_per_request": DESIGNS_PER_REQUEST,
         "rungs": [],
@@ -111,7 +110,7 @@ def test_serving_load(out_dir):
 
         for batched in (False, True):
             max_batch = MAX_BATCH if batched else 1
-            with ThermalServer(max_batch=max_batch, max_wait=MAX_WAIT,
+            with ThermalServer(max_batch=max_batch,
                                queue_depth=256) as server:
                 server.warm_start([scenario])
                 for n_clients in CLIENT_LADDER:
@@ -166,8 +165,8 @@ def test_serving_load(out_dir):
     (out_dir / "serving_load.json").write_text(json.dumps(report, indent=2))
     lines = [
         "serving under load — micro-batched vs unbatched",
-        f"  cores={report['cores']} smoke={SMOKE} "
-        f"max_batch={MAX_BATCH} window={MAX_WAIT * 1e3:g}ms",
+        f"  cpu_count={report['cpu_count']} smoke={SMOKE} "
+        f"max_batch={MAX_BATCH}",
         f"  {'mode':>10} {'clients':>7} {'req/s':>8} {'p50 ms':>8} "
         f"{'p99 ms':>8}",
     ]

@@ -4,10 +4,11 @@ Boots a :class:`repro.serve.ThermalServer` on an ephemeral port (the
 same daemon ``repro serve`` runs), warm-starts a tiny Experiment-A
 scenario, then fires several concurrent :class:`ThermalClient` threads
 at it.  The daemon's micro-batcher coalesces requests that share the
-scenario's content digest into single fused merge dgemms — watch the
-``batch`` metadata in each response and the queue counters in ``stats``
-— and every fused answer is verified bitwise against a one-at-a-time
-in-process ``ThermalService``.
+scenario's content digest into single fused merge dgemms whenever they
+queue up behind a busy compute thread — watch the ``batch`` metadata in
+each response and the queue counters in ``stats`` — and every answer,
+fused or not, is verified bitwise against a one-at-a-time in-process
+``ThermalService``.
 
 Run from the repo root:
 
@@ -47,9 +48,10 @@ def main():
         ]
         expected = reference.predict(scenario, designs).fields
 
-        # max_wait widened so this demo reliably fuses the burst even on
-        # a busy machine; production default is 5 ms.
-        with ThermalServer(max_batch=16, max_wait=0.05) as server:
+        # A request is dispatched as soon as the compute thread is
+        # free, so the burst fuses only as far as it queues up behind
+        # an earlier dispatch.
+        with ThermalServer(max_batch=16) as server:
             server.warm_start([scenario])
             print(f"daemon listening on {server.host}:{server.port}")
 
@@ -59,7 +61,7 @@ def main():
             def client_thread(index):
                 lo = index * DESIGNS_PER_CLIENT
                 with ThermalClient(port=server.port) as client:
-                    barrier.wait()  # fire together so the window fuses
+                    barrier.wait()  # fire together so a backlog can form
                     results[index] = client.predict(
                         scenario, designs[lo:lo + DESIGNS_PER_CLIENT]
                     )
@@ -92,7 +94,8 @@ def main():
                 f"queue: {queue['submitted']} submitted, "
                 f"{queue['dispatched_batches']} dispatches, "
                 f"{queue['fused_requests']} requests fused, "
-                f"largest batch {queue['max_batch_seen']}"
+                f"largest batch {queue['max_batch_seen']} "
+                f"(burst fused: {queue['fused_requests'] > 0})"
             )
     print("daemon drained and closed")
 

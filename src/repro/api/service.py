@@ -634,7 +634,10 @@ class ThermalService:
 
     def session(self, subject) -> _Session:
         """The per-digest session of a scenario or family (compiled once)."""
-        digest = subject.content_digest()
+        return self._session(subject, subject.content_digest())
+
+    def _session(self, subject, digest: str) -> _Session:
+        """:meth:`session` for a caller already holding the digest."""
         entry = self._sessions.get(digest)
         if entry is None:
             entry = _Session(subject=subject, setup=subject.compile())
@@ -848,9 +851,10 @@ class ThermalService:
         entry.setup.model.load(path)
         entry.trained = True
 
-    def _ensure_trained(self, subject) -> _Session:
+    def _ensure_trained(self, subject, digest: Optional[str] = None
+                        ) -> _Session:
         """The subject's session, trained or registry-loaded on first use."""
-        entry = self.session(subject)
+        entry = self._session(subject, digest or subject.content_digest())
         if not entry.trained:
             from ..family import ScenarioFamily
 
@@ -1045,7 +1049,8 @@ class ThermalService:
         return self._predict(scenario, designs, grid_shape, points_si, t)
 
     def _handle(self, scenario: ThermalScenario, family=None,
-                prefer_fine_tuned: bool = False) -> _Handle:
+                prefer_fine_tuned: bool = False, digest: Optional[str] = None,
+                family_digest: Optional[str] = None) -> _Handle:
         """Resolve the model that answers ``scenario``.
 
         Without ``family``: the scenario's own model, trained on first
@@ -1053,13 +1058,16 @@ class ThermalService:
         ``prefer_fine_tuned`` and one exists, else the shared family
         engine (trained on first use); either way fed the member's
         conditioning vector.  Coverage is the caller's check.
+        ``digest`` / ``family_digest`` are the content digests when the
+        caller already holds them (each is computed otherwise).
         """
         if family is None:
-            entry = self._ensure_trained(scenario)
+            entry = self._ensure_trained(scenario, digest)
             return _Handle(self._engine_of(entry), entry.setup)
+        family_digest = family_digest or family.content_digest()
         entry = None
         if prefer_fine_tuned:
-            digest = scenario.content_digest()
+            digest = digest or scenario.content_digest()
             if (digest not in self._finetuned
                     and self.registry.find_fine_tuned(scenario) is not None):
                 self.fine_tune(scenario, from_family=family)
@@ -1067,11 +1075,10 @@ class ThermalService:
         if entry is not None:
             setup = entry.setup
         else:
-            entry = self._ensure_trained(family)
+            entry = self._ensure_trained(family, family_digest)
             setup = entry.setup.setups[0]
         return _Handle(self._engine_of(entry), setup,
-                       family.conditioning_vector(scenario),
-                       family.content_digest())
+                       family.conditioning_vector(scenario), family_digest)
 
     def _predict(self, scenario: ThermalScenario, designs, grid_shape,
                  points_si, t, family=None,

@@ -186,11 +186,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(exact registry hit, family-ancestor fallback, "
                             "or boot-time training); repeatable")
     serve.add_argument("--max-batch", type=int, default=16,
-                       help="most requests fused into one engine call "
-                            "(1 disables fusion)")
-    serve.add_argument("--max-wait-ms", type=float, default=5.0,
-                       help="micro-batching window: how long the oldest "
-                            "request waits for company")
+                       help="most queued same-key requests fused into one "
+                            "engine call (1 disables fusion)")
     serve.add_argument("--queue-depth", type=int, default=128,
                        help="pending-request bound; beyond it requests are "
                             "rejected with 'overloaded' + retry_after")
@@ -799,7 +796,6 @@ def _cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         max_batch=args.max_batch,
-        max_wait=args.max_wait_ms / 1e3,
         queue_depth=args.queue_depth,
         memory_budget=budget,
         watchdog_timeout=args.watchdog_timeout,

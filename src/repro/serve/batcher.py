@@ -12,10 +12,11 @@ merge dgemm), and dispatched together.
 Dispatch policy (head-of-line grouping):
 
 * the oldest pending request picks the fuse key of the next batch;
-* the batch closes when ``max_batch`` same-key requests are pending or
-  ``max_wait`` has elapsed since the head arrived, whichever is first —
-  so an idle daemon adds at most ``max_wait`` latency, and a busy one
-  fuses as hard as the window allows;
+* the moment the dispatcher is free it takes that head request together
+  with every request already queued under the same fuse key, up to
+  ``max_batch`` — so an idle daemon dispatches a request as soon as it
+  arrives, and requests fuse whenever a backlog forms behind a busy
+  compute thread;
 * requests under other fuse keys keep their arrival order and form the
   following batches.
 
@@ -93,11 +94,8 @@ class MicroBatcher:
         resolves any it leaves behind with an internal error, so a
         buggy executor can never strand a client).
     max_batch:
-        Most requests fused into one dispatch (>= 1; 1 disables fusion
-        — the "unfused" baseline of the load benchmark).
-    max_wait:
-        Seconds the head request may wait for company before the batch
-        closes anyway.  The daemon's latency floor under light load.
+        Most queued same-key requests fused into one dispatch (>= 1; 1
+        disables fusion — the "unfused" baseline of the load benchmark).
     queue_depth:
         Most requests pending (queued, not yet dispatched) before
         :meth:`submit` starts refusing.
@@ -107,18 +105,14 @@ class MicroBatcher:
         self,
         execute: Callable[[List[QueuedRequest]], None],
         max_batch: int = 16,
-        max_wait: float = 0.005,
         queue_depth: int = 128,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_wait < 0:
-            raise ValueError("max_wait must be >= 0")
         if queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
         self.execute = execute
         self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait)
         self.queue_depth = int(queue_depth)
         self._pending: List[QueuedRequest] = []
         self._cond = threading.Condition()
@@ -203,48 +197,36 @@ class MicroBatcher:
         self._pending = alive
 
     def _take_group(self) -> Optional[List[QueuedRequest]]:
-        """Block until a batch is ready (or shutdown empties the queue)."""
+        """Block until work is queued, then take the head request and
+        every request already queued under its fuse key (up to
+        ``max_batch``).  ``None`` once shutdown has emptied the queue."""
         with self._cond:
             while True:
                 while not self._pending:
                     if self._closing:
                         return None
                     self._cond.wait()
-                head = self._pending[0]
-                deadline = head.arrival + self.max_wait
-                while not self._closing:  # closing ends the window early
-                    matching = sum(
-                        1 for r in self._pending if r.fuse_key == head.fuse_key
-                    )
-                    if matching >= self.max_batch:
-                        break
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(remaining)
                 self._expire_locked()
-                if not self._pending:
-                    if self._closing:
-                        return None
-                    continue  # everything expired; wait for fresh work
-                head = self._pending[0]  # may differ after expiry
-                group: List[QueuedRequest] = []
-                rest: List[QueuedRequest] = []
-                for request in self._pending:
-                    if (request.fuse_key == head.fuse_key
-                            and len(group) < self.max_batch):
-                        group.append(request)
-                    else:
-                        rest.append(request)
-                self._pending = rest
-                self._stats["dispatched_batches"] += 1
-                self._stats["dispatched_requests"] += len(group)
-                if len(group) > 1:
-                    self._stats["fused_requests"] += len(group)
-                self._stats["max_batch_seen"] = max(
-                    self._stats["max_batch_seen"], len(group)
-                )
-                return group
+                if self._pending:
+                    break  # else everything expired; wait for fresh work
+            head = self._pending[0]
+            group: List[QueuedRequest] = []
+            rest: List[QueuedRequest] = []
+            for request in self._pending:
+                if (request.fuse_key == head.fuse_key
+                        and len(group) < self.max_batch):
+                    group.append(request)
+                else:
+                    rest.append(request)
+            self._pending = rest
+            self._stats["dispatched_batches"] += 1
+            self._stats["dispatched_requests"] += len(group)
+            if len(group) > 1:
+                self._stats["fused_requests"] += len(group)
+            self._stats["max_batch_seen"] = max(
+                self._stats["max_batch_seen"], len(group)
+            )
+            return group
 
     def _dispatch_loop(self) -> None:
         while True:

@@ -152,7 +152,7 @@ class ThermalServer:
     host / port:
         Bind address; ``port=0`` picks an ephemeral port (read it back
         from :attr:`port` after :meth:`start`).
-    max_batch / max_wait / queue_depth:
+    max_batch / queue_depth:
         Micro-batching knobs — see :class:`MicroBatcher`.
     memory_budget:
         Byte budget over the service's caches (ignored when ``service``
@@ -180,7 +180,6 @@ class ThermalServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_batch: int = 16,
-        max_wait: float = 0.005,
         queue_depth: int = 128,
         memory_budget: Optional[int] = None,
         cache_dir: Optional[str] = None,
@@ -199,11 +198,10 @@ class ThermalServer:
         self.host = host
         self.port = int(port)
         self.request_timeout = float(request_timeout)
-        self.retry_after = max(0.05, 4.0 * max_wait)
+        self.retry_after = 0.05
         self.batcher = MicroBatcher(
             self._execute_group,
             max_batch=max_batch,
-            max_wait=max_wait,
             queue_depth=queue_depth,
         )
         self._scenarios: Dict[str, ThermalScenario] = {}   # digest -> spec
@@ -290,7 +288,7 @@ class ThermalServer:
             digest = scenario.content_digest()
             with self._scenario_lock:
                 self._scenarios[digest] = scenario
-            route = self._route_for(scenario)
+            route = self._route_for(scenario, digest)
             family = None
             if route is None:
                 result = self.service.train(scenario)
@@ -299,7 +297,8 @@ class ThermalServer:
                 with self._scenario_lock:
                     family = self._families[route]
                 source = f"family:{route[:16]}"
-            handle = self.service._handle(scenario, family)
+            handle = self.service._handle(scenario, family, digest=digest,
+                                          family_digest=route)
             if scenario.transient is None:
                 handle.engine.warmup(handle.setup.eval_grid)
             self._boot_sources[digest[:16]] = source
@@ -573,13 +572,14 @@ class ThermalServer:
             self._stop_event.set()
         return ok_response(request_id, {"draining": True})
 
-    def _resolve_scenario(self, raw) -> ThermalScenario:
-        """Parse-and-cache the request's scenario spec.
+    def _resolve_scenario(self, raw) -> Tuple[str, ThermalScenario]:
+        """Parse-and-cache the request's scenario spec: ``(digest, spec)``.
 
         Keyed twice: a sha over the raw dict skips re-validation of
         byte-identical specs (the hot path — every request from a given
         client repeats its spec), and the content digest is the identity
-        everything downstream fuses and caches on.
+        everything downstream fuses and caches on, so it is returned
+        rather than recomputed.
         """
         if not isinstance(raw, dict):
             raise RequestError("'scenario' must be a ThermalScenario object "
@@ -591,7 +591,7 @@ class ThermalServer:
         with self._scenario_lock:
             digest = self._spec_index.get(spec_key)
             if digest is not None:
-                return self._scenarios[digest]
+                return digest, self._scenarios[digest]
         try:
             scenario = ThermalScenario.from_dict(raw)
         except ScenarioValidationError as exc:
@@ -608,18 +608,20 @@ class ThermalServer:
             else:
                 scenario = existing
             self._spec_index[spec_key] = digest
-        return scenario
+        return digest, scenario
 
-    def _route_for(self, scenario: ThermalScenario) -> Optional[str]:
+    def _route_for(self, scenario: ThermalScenario,
+                   digest: Optional[str] = None) -> Optional[str]:
         """The family digest serving this scenario, or ``None`` for exact.
 
         Fallback ordering: an exact-digest checkpoint (or an
         already-trained session) always wins; only a scenario the
         registry has never trained routes to a covering family
         ancestor.  Routes are cached per digest — the decision is made
-        once, so a group's requests all land on one engine.
+        once, so a group's requests all land on one engine.  ``digest``
+        is the scenario's content digest when the caller holds it.
         """
-        digest = scenario.content_digest()
+        digest = digest or scenario.content_digest()
         with self._scenario_lock:
             route = self._routes.get(digest)
         if route is not None:
@@ -642,11 +644,11 @@ class ThermalServer:
 
     def _parse_batched(self, request_id, op: str, message: Dict
                        ) -> QueuedRequest:
-        scenario = self._resolve_scenario(message.get("scenario"))
-        digest = scenario.content_digest()
+        digest, scenario = self._resolve_scenario(message.get("scenario"))
         designs = _parse_designs(message.get("designs"))
         grid_shape = _parse_grid_shape(message.get("grid_shape"))
         payload: Dict = {
+            "scenario_digest": digest,
             "designs": designs,
             "grid_shape": grid_shape,
             "return_fields": bool(message.get("return_fields", True)),
@@ -695,10 +697,9 @@ class ThermalServer:
         # coalesce into a single conditioned merge dgemm.
         key_digest = digest
         if op != "solve":
-            route = self._route_for(scenario)
+            route = self._route_for(scenario, digest)
             if route is not None:
                 key_digest = f"family:{route}"
-                payload["scenario_digest"] = digest
         key = fuse_key_for(op, key_digest, grid_shape, times=times, t=t)
         return QueuedRequest(request_id=request_id, op=op, fuse_key=key,
                              payload=payload, deadline=deadline)
@@ -745,16 +746,18 @@ class ThermalServer:
         handle of a group shares the engine and the grid's setup.
         """
         key = group[0].fuse_key[1]
-        family = None
+        fam_digest = family = None
+        digests = [r.payload["scenario_digest"] for r in group]
         with self._scenario_lock:
             if key.startswith("family:"):
-                family = self._families[key[len("family:"):]]
-            digests = [r.payload.get("scenario_digest", key) for r in group]
+                fam_digest = key[len("family:"):]
+                family = self._families[fam_digest]
             members = [(digest, self._scenarios[digest]) for digest in digests]
         handles: Dict[str, object] = {}
         for digest, member in members:
             if digest not in handles:
-                handles[digest] = self.service._handle(member, family)
+                handles[digest] = self.service._handle(
+                    member, family, digest=digest, family_digest=fam_digest)
         design_groups = [
             handles[digest].condition(request.payload["designs"])
             for request, digest in zip(group, digests)
@@ -932,7 +935,6 @@ def serve_main(
     host: str = "127.0.0.1",
     port: int = 7070,
     max_batch: int = 16,
-    max_wait: float = 0.005,
     queue_depth: int = 128,
     memory_budget: Optional[int] = None,
     cache_dir: Optional[str] = None,
@@ -955,7 +957,7 @@ def serve_main(
         spec = load_spec(path)
         (families if isinstance(spec, ScenarioFamily) else scenarios).append(spec)
     server = ThermalServer(
-        host=host, port=port, max_batch=max_batch, max_wait=max_wait,
+        host=host, port=port, max_batch=max_batch,
         queue_depth=queue_depth, memory_budget=memory_budget,
         cache_dir=cache_dir,
         watchdog_timeout=watchdog_timeout, solver=solver,
@@ -974,8 +976,7 @@ def serve_main(
     signal.signal(signal.SIGTERM, _early_handler)
     server.start()
     print(f"repro serve: listening on {server.host}:{server.port} "
-          f"(max_batch={max_batch}, max_wait={max_wait * 1e3:g}ms, "
-          f"queue_depth={queue_depth})", flush=True)
+          f"(max_batch={max_batch}, queue_depth={queue_depth})", flush=True)
     if scenarios or families:
         server.warm_start(scenarios, families=families)
         if families:

@@ -350,7 +350,7 @@ class TestCheckpointCorruption:
 class TestServeChaos:
     def test_health_answers_fast_while_compute_busy(self, tmp_path):
         scn = _tiny()
-        with ThermalServer(cache_dir=tmp_path, max_wait=0.001,
+        with ThermalServer(cache_dir=tmp_path,
                            watchdog_timeout=30.0) as server:
             server.warm_start([scn])
             with ThermalService(cache_dir=tmp_path) as reference:
@@ -390,7 +390,7 @@ class TestServeChaos:
 
     def test_deadline_expires_before_compute(self, tmp_path):
         scn = _tiny()
-        with ThermalServer(cache_dir=tmp_path, max_wait=0.001) as server:
+        with ThermalServer(cache_dir=tmp_path) as server:
             server.warm_start([scn])
             with ThermalService(cache_dir=tmp_path) as reference:
                 designs = _designs(reference, scn, 2)
@@ -416,7 +416,7 @@ class TestServeChaos:
 
     def test_watchdog_fails_wedged_dispatch_fast(self, tmp_path):
         scn = _tiny()
-        with ThermalServer(cache_dir=tmp_path, max_wait=0.001,
+        with ThermalServer(cache_dir=tmp_path,
                            watchdog_timeout=0.5) as server:
             server.warm_start([scn])
             with ThermalService(cache_dir=tmp_path) as reference:
@@ -499,7 +499,7 @@ class TestServeChaos:
             for request in group:
                 request.resolve({"ok": True})
 
-        batcher = MicroBatcher(execute, max_batch=1, max_wait=0.0)
+        batcher = MicroBatcher(execute, max_batch=1)
         request = QueuedRequest(request_id=0, op="predict",
                                 fuse_key=("k",), payload={})
         assert batcher.submit(request)
@@ -528,7 +528,7 @@ faults.load_from_env()
 scenario = scenario_for("a", scale="test")
 scenario.training.iterations = 5
 server = ThermalServer(cache_dir=sys.argv[1], port=0,
-                       max_wait=0.001, watchdog_timeout=WATCHDOG)
+                       watchdog_timeout=WATCHDOG)
 server.start()
 server.warm_start([scenario])
 print(f"PORT {server.port}", flush=True)

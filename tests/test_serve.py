@@ -155,68 +155,86 @@ def _request(key, rid=0):
                          payload={})
 
 
+def _hold_dispatcher(batcher):
+    """Park the dispatcher on a blocker request; returns ``release()``.
+
+    Everything submitted while it is held queues behind the blocker, so
+    the dispatches after ``release()`` see that whole backlog at once:
+    fusion is decided by the queue's contents, not by timing.
+    """
+    holding, release = threading.Event(), threading.Event()
+    execute = batcher.execute
+
+    def gated(group):
+        if group[0].request_id != "__block__":
+            return execute(group)
+        holding.set()
+        release.wait(30.0)
+        for request in group:
+            request.resolve({"id": request.request_id, "ok": True})
+
+    batcher.execute = gated
+    assert batcher.submit(_request(("__block__",), "__block__"))
+    assert holding.wait(10.0)
+    return release.set
+
+
+def _wait_depth(batcher, depth):
+    """Block until ``depth`` requests are queued behind a held dispatcher."""
+    deadline = time.monotonic() + 60
+    while batcher.depth() < depth:
+        assert time.monotonic() < deadline, "requests never reached the queue"
+        time.sleep(0.005)
+
+
 class TestMicroBatcher:
-    def test_same_key_requests_fuse(self):
+    @staticmethod
+    def _recording():
         groups = []
-        done = threading.Event()
 
         def execute(group):
             groups.append([r.request_id for r in group])
             for r in group:
                 r.resolve({"ok": True, "id": r.request_id})
-            if sum(len(g) for g in groups) >= 4:
-                done.set()
 
-        batcher = MicroBatcher(execute, max_batch=8, max_wait=0.2)
-        key = ("predict", "aa", ("eval",))
-        requests = [_request(key, i) for i in range(4)]
+        return groups, execute
+
+    def _run_backlog(self, requests, max_batch):
+        """Queue ``requests`` behind a held dispatcher, release, drain."""
+        groups, execute = self._recording()
+        batcher = MicroBatcher(execute, max_batch=max_batch)
+        release = _hold_dispatcher(batcher)
         for r in requests:
             assert batcher.submit(r)
-        done.wait(5.0)
+        release()
         for r in requests:
             assert r.event.wait(5.0)
         batcher.close()
-        assert [0, 1, 2, 3] in groups  # one fused dispatch
-        stats = batcher.stats()
-        assert stats["fused_requests"] >= 4
-        assert stats["max_batch_seen"] >= 4
+        return groups, batcher.stats()
+
+    def test_same_key_requests_fuse(self):
+        key = ("predict", "aa", ("eval",))
+        groups, stats = self._run_backlog(
+            [_request(key, i) for i in range(4)], max_batch=8)
+        assert groups == [[0, 1, 2, 3]]  # one fused dispatch
+        assert stats["fused_requests"] == 4
+        assert stats["max_batch_seen"] == 4
+        assert stats["dispatched_batches"] == 2  # blocker + the group
 
     def test_mixed_keys_split_but_preserve_order(self):
-        groups = []
-
-        def execute(group):
-            groups.append(sorted(r.fuse_key for r in group))
-            for r in group:
-                r.resolve({"ok": True})
-
-        batcher = MicroBatcher(execute, max_batch=8, max_wait=0.1)
         requests = [_request(("a",), 0), _request(("b",), 1),
                     _request(("a",), 2), _request(("b",), 3)]
-        for r in requests:
-            assert batcher.submit(r)
-        for r in requests:
-            assert r.event.wait(5.0)
-        batcher.close()
-        # every dispatched group is single-key
-        for group in groups:
-            assert len(set(group)) == 1
+        groups, stats = self._run_backlog(requests, max_batch=8)
+        # the head picks the key; other keys keep their arrival order
+        assert groups == [[0, 2], [1, 3]]
+        assert stats["fused_requests"] == 4
 
     def test_max_batch_caps_group_size(self):
-        sizes = []
-
-        def execute(group):
-            sizes.append(len(group))
-            for r in group:
-                r.resolve({"ok": True})
-
-        batcher = MicroBatcher(execute, max_batch=2, max_wait=0.05)
-        requests = [_request(("k",), i) for i in range(5)]
-        for r in requests:
-            assert batcher.submit(r)
-        for r in requests:
-            assert r.event.wait(5.0)
-        batcher.close()
-        assert max(sizes) <= 2
+        groups, stats = self._run_backlog(
+            [_request(("k",), i) for i in range(5)], max_batch=2)
+        assert groups == [[0, 1], [2, 3], [4]]
+        assert stats["fused_requests"] == 4
+        assert stats["max_batch_seen"] == 2
 
     def test_bounded_queue_rejects_overflow(self):
         release = threading.Event()
@@ -226,8 +244,7 @@ class TestMicroBatcher:
             for r in group:
                 r.resolve({"ok": True})
 
-        batcher = MicroBatcher(execute, max_batch=1, max_wait=0.0,
-                               queue_depth=2)
+        batcher = MicroBatcher(execute, max_batch=1, queue_depth=2)
         accepted = [_request(("k",), i) for i in range(8)]
         verdicts = [batcher.submit(r) for r in accepted]
         # first goes straight to the dispatcher, two queue, rest refuse
@@ -245,8 +262,7 @@ class TestMicroBatcher:
             for r in group:
                 r.resolve({"ok": True})
 
-        batcher = MicroBatcher(execute, max_batch=1, max_wait=0.0,
-                               queue_depth=8)
+        batcher = MicroBatcher(execute, max_batch=1, queue_depth=8)
         requests = [_request(("k",), i) for i in range(4)]
         for r in requests:
             assert batcher.submit(r)
@@ -266,7 +282,7 @@ class TestMicroBatcher:
         def execute(group):
             raise RuntimeError("boom")
 
-        batcher = MicroBatcher(execute, max_batch=4, max_wait=0.0)
+        batcher = MicroBatcher(execute, max_batch=4)
         request = _request(("k",), 0)
         assert batcher.submit(request)
         assert request.event.wait(5.0)
@@ -278,8 +294,6 @@ class TestMicroBatcher:
             MicroBatcher(lambda g: None, max_batch=0)
         with pytest.raises(ValueError):
             MicroBatcher(lambda g: None, queue_depth=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(lambda g: None, max_wait=-1.0)
 
 
 # ----------------------------------------------------------------------
@@ -300,7 +314,7 @@ class TestDaemonEndToEnd:
         """N clients, mixed digests+grids, fused answers == serial answers."""
         scn_a, scn_b = _tiny("a"), _tiny("b")
         with ThermalService(cache_dir=registry_dir) as reference, \
-                ThermalServer(cache_dir=registry_dir, max_wait=0.05) as server:
+                ThermalServer(cache_dir=registry_dir) as server:
             designs_a = _designs(reference, scn_a, 6, seed=1)
             designs_b = _designs(reference, scn_b, 4, seed=2)
             expected = {
@@ -333,8 +347,11 @@ class TestDaemonEndToEnd:
                 threading.Thread(target=worker, args=(i, scn, d, g))
                 for i, (_, scn, d, g) in enumerate(jobs)
             ]
+            release = _hold_dispatcher(server.batcher)
             for thread in threads:
                 thread.start()
+            _wait_depth(server.batcher, len(jobs))
+            release()
             for thread in threads:
                 thread.join(timeout=120)
 
@@ -345,13 +362,17 @@ class TestDaemonEndToEnd:
                 assert np.array_equal(result["fields"], expected[key][lo:hi])
                 assert np.array_equal(result["peaks"],
                                       expected[key][lo:hi].max(axis=1))
-            stats = server.stats()
-            assert stats["queue"]["dispatched_requests"] == len(jobs)
+                # each fuse key's whole backlog rode one dispatch
+                assert result["batch"]["requests"] == len(slices[key])
+            queue = server.stats()["queue"]
+            assert queue["dispatched_requests"] == len(jobs) + 1  # + blocker
+            assert queue["dispatched_batches"] == len(slices) + 1
+            assert queue["fused_requests"] == 5  # 3 a-eval + 2 b-eval
 
     def test_transient_predict_and_rollout_parity(self, registry_dir):
         scn = _tiny("transient")
         with ThermalService(cache_dir=registry_dir) as reference, \
-                ThermalServer(cache_dir=registry_dir, max_wait=0.05) as server:
+                ThermalServer(cache_dir=registry_dir) as server:
             designs = _designs(reference, scn, 3, seed=4)
             times = np.linspace(0.0, scn.transient.horizon, 4)
             expected = reference.rollout(scn, designs, times)
@@ -370,7 +391,7 @@ class TestDaemonEndToEnd:
     def test_solve_fuses_and_matches_serial(self, registry_dir):
         scn = _tiny("a")
         with ThermalService(cache_dir=registry_dir) as reference, \
-                ThermalServer(cache_dir=registry_dir, max_wait=0.05) as server:
+                ThermalServer(cache_dir=registry_dir) as server:
             designs = _designs(reference, scn, 4, seed=5)
             expected = reference.solve(scn, designs=designs)
             results = [None, None]
@@ -383,11 +404,16 @@ class TestDaemonEndToEnd:
 
             threads = [threading.Thread(target=worker, args=(i,))
                        for i in range(2)]
+            release = _hold_dispatcher(server.batcher)
             for thread in threads:
                 thread.start()
+            _wait_depth(server.batcher, 2)
+            release()
             for thread in threads:
                 thread.join(timeout=120)
+            assert server.stats()["queue"]["fused_requests"] == 2
             for index, result in enumerate(results):
+                assert result["batch"]["requests"] == 2
                 lo = 2 * index
                 assert np.array_equal(result["fields"],
                                       expected.fields[lo:lo + 2])
@@ -400,7 +426,7 @@ class TestDaemonEndToEnd:
         """A ~1-entry byte budget forces constant evictions; answers hold."""
         scn = _tiny("a")
         with ThermalService(cache_dir=registry_dir) as reference, \
-                ThermalServer(cache_dir=registry_dir, max_wait=0.01,
+                ThermalServer(cache_dir=registry_dir,
                               memory_budget=64 * 1024) as server:
             designs = _designs(reference, scn, 2, seed=6)
             grids = [None, (6, 6, 4), (7, 7, 4), None, (6, 6, 4)]
@@ -420,7 +446,7 @@ class TestDaemonEndToEnd:
     def test_backpressure_rejects_then_client_retries(self, registry_dir):
         scn = _tiny("a")
         with ThermalServer(cache_dir=registry_dir, max_batch=1,
-                           max_wait=0.0, queue_depth=1) as server:
+                           queue_depth=1) as server:
             server.warm_start([scn])
             with ThermalService(cache_dir=registry_dir) as reference:
                 designs = _designs(reference, scn, 2, seed=7)
@@ -531,7 +557,7 @@ class TestDaemonEndToEnd:
 
     def test_shutdown_op_drains_and_closes(self, registry_dir):
         scn = _tiny("a")
-        server = ThermalServer(cache_dir=registry_dir, max_wait=0.05)
+        server = ThermalServer(cache_dir=registry_dir)
         server.start()
         server.warm_start([scn])
         with ThermalService(cache_dir=registry_dir) as reference:
@@ -595,8 +621,7 @@ class TestDaemonEndToEnd:
         with ThermalService(cache_dir=registry_dir) as reference:
             designs = _designs(reference, scn, 2, seed=11)
             transient_designs = _designs(reference, transient, 2, seed=12)
-        with ThermalServer(cache_dir=registry_dir, max_wait=0.0,
-                           queue_depth=1) as server:
+        with ThermalServer(cache_dir=registry_dir, queue_depth=1) as server:
             record(server)
             with ThermalClient(port=server.port, max_retries=0) as client:
                 client.predict(scn, designs)
@@ -663,7 +688,7 @@ class TestDaemonEndToEnd:
 
         with ThermalService(cache_dir=family_registry) as reference:
             member_designs = _designs(reference, member, 2, seed=13)
-        with ThermalServer(cache_dir=family_registry, max_wait=0.0) as server:
+        with ThermalServer(cache_dir=family_registry) as server:
             record(server)
             with ThermalClient(port=server.port) as client:
                 assert "family" in client.predict(member, member_designs)
@@ -681,7 +706,7 @@ class TestDaemonEndToEnd:
         with ThermalService(cache_dir=registry_dir) as reference:
             designs = _designs(reference, scn, 1, seed=14)
             expected = reference.predict(scn, designs).fields
-        with ThermalServer(cache_dir=registry_dir, max_wait=0.0) as server:
+        with ThermalServer(cache_dir=registry_dir) as server:
             run_predict = server._runners["predict"]
 
             def poisoned(group):
@@ -875,8 +900,7 @@ class TestFamilyServing:
         family = _serve_family()
         members = [family.holdout(0), family.holdout(1)]
         with ThermalService(cache_dir=family_registry) as reference, \
-                ThermalServer(cache_dir=family_registry,
-                              max_wait=0.25) as server:
+                ThermalServer(cache_dir=family_registry) as server:
             designs = [_designs(reference, member, 2, seed=index)
                        for index, member in enumerate(members)]
             expected = [
@@ -893,16 +917,21 @@ class TestFamilyServing:
 
             threads = [threading.Thread(target=worker, args=(i,))
                        for i in range(2)]
+            release = _hold_dispatcher(server.batcher)
             for thread in threads:
                 thread.start()
+            _wait_depth(server.batcher, 2)
+            release()
             for thread in threads:
                 thread.join(timeout=120)
 
             fam_digest = family.content_digest()
+            assert server.stats()["queue"]["fused_requests"] == 2
             for index, result in enumerate(results):
                 assert result["family"] == fam_digest
                 assert result["batch"]["fused"], \
                     "cross-member requests did not fuse into one batch"
+                assert result["batch"]["requests"] == 2
                 assert np.array_equal(result["fields"],
                                       expected[index].fields)
                 assert np.array_equal(result["peaks"],
@@ -914,7 +943,7 @@ class TestFamilyServing:
         member.training.iterations = 3
         with ThermalService(cache_dir=family_registry) as service:
             service.train(member)
-            with ThermalServer(service=service, max_wait=0.0) as server:
+            with ThermalServer(service=service) as server:
                 assert server._route_for(member) is None
                 expected = service.predict(member,
                                            _designs(service, member, 1))
@@ -927,8 +956,7 @@ class TestFamilyServing:
     def test_warm_start_family_fallback_and_stats(self, family_registry):
         family = _serve_family()
         holdout = family.holdout(0)
-        with ThermalServer(cache_dir=family_registry,
-                           max_wait=0.0) as server:
+        with ThermalServer(cache_dir=family_registry) as server:
             server.warm_start([holdout])
             stats = server.stats()
             fam16 = family.content_digest()[:16]
@@ -958,7 +986,7 @@ class TestFamilyServing:
                 conditioned, np.asarray(times), grid=grid)
             expected_predict = reference.predict_member(
                 family, holdout, designs, t=2.0, prefer_fine_tuned=False)
-        with ThermalServer(cache_dir=tmp_path, max_wait=0.0) as server:
+        with ThermalServer(cache_dir=tmp_path) as server:
             with ThermalClient(port=server.port) as client:
                 rollout = client.rollout(holdout, designs, times)
                 predict = client.predict(holdout, designs, t=2.0)
@@ -972,9 +1000,43 @@ class TestFamilyServing:
 
     def test_warm_start_families_boot_exactly(self, family_registry):
         family = _serve_family()
-        with ThermalServer(cache_dir=family_registry,
-                           max_wait=0.0) as server:
+        with ThermalServer(cache_dir=family_registry) as server:
             server.warm_start([], families=[family])
             stats = server.stats()
             fam16 = family.content_digest()[:16]
             assert stats["boot_sources"][fam16] == "exact"
+
+    def test_spec_digest_taken_once_per_new_spec(self, registry_dir,
+                                                 family_registry,
+                                                 monkeypatch):
+        """Repeat served predicts reuse the digest their spec resolved to."""
+        from repro.api import ThermalScenario
+        from repro.family import ScenarioFamily
+
+        calls = {"scenario": 0, "family": 0}
+
+        def counting(cls, kind):
+            digest = cls.content_digest
+
+            def wrapped(self):
+                calls[kind] += 1
+                return digest(self)
+
+            monkeypatch.setattr(cls, "content_digest", wrapped)
+
+        scn = _tiny("a")
+        member = _serve_family().holdout(0)
+        cases = [(registry_dir, scn), (family_registry, member)]
+        with ThermalService() as reference:
+            designs = [_designs(reference, spec, 1) for _, spec in cases]
+        counting(ThermalScenario, "scenario")
+        counting(ScenarioFamily, "family")
+        for (registry, spec), spec_designs in zip(cases, designs):
+            with ThermalServer(cache_dir=registry) as server, \
+                    ThermalClient(port=server.port) as client:
+                first = client.predict(spec, spec_designs)  # resolves, routes
+                assert ("family" in first) == (spec is member)
+                calls.update(scenario=0, family=0)
+                for _ in range(10):
+                    client.predict(spec, spec_designs)
+                assert calls == {"scenario": 0, "family": 0}, spec.name
