@@ -15,9 +15,11 @@ a stream of predict requests over its own socket, twice per rung:
 
 Parity is *always* asserted, in every mode: every response fetched
 through the socket must match the serial in-process
-``ThermalService.predict`` answer to <= 1e-8 K (they are in fact
-bitwise identical — the newline-JSON protocol round-trips floats
-exactly).  The throughput ratio (batched vs unbatched at >= 4 clients)
+``ThermalService.predict`` answer to <= 1e-8 K.  The wire itself is
+exact (``ThermalClient`` array frames carry raw float64 bytes), so an
+unfused answer is bitwise serial; a fused one runs a taller merge dgemm
+that BLAS may block differently (the 8-client batched rung measured
+5.7e-14 K off serial on a 2-core host).  The throughput ratio (batched vs unbatched at >= 4 clients)
 is gated only on machines with >= 4 cores and ``REPRO_SMOKE`` unset:
 on a 1- or 2-core runner both daemons timeshare the same cores with
 the client threads, so the ratio would gate on scheduler noise.

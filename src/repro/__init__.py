@@ -13,7 +13,7 @@ Thermal Simulation in 3D-IC Design" (DAC 2023) from scratch on numpy:
   versioned JSON) + ``ThermalService`` session façade; ``repro run``
 * :mod:`repro.engine` — compiled tape-free serving engine (batched sweeps,
   trunk-feature caching); ``DeepOHeat.compile()`` / ``repro sweep``
-* :mod:`repro.serve` — serving daemon: newline-JSON socket protocol with
+* :mod:`repro.serve` — serving daemon: JSON-line / array-frame socket with
   cross-request micro-batching onto the compiled engine's fused matmul,
   bounded-queue backpressure and byte-budgeted caches; ``repro serve``
 * :mod:`repro.family` — foundation-style scenario families: one

@@ -693,13 +693,19 @@ class ThermalService:
         from the scenario's input families (seeded).  Transient
         scenarios solve their t=0 (initial-condition) problem.
         """
-        entry = self.session(scenario)
-        model = entry.setup.model
         if designs is None:
             raws = self.sample_designs(scenario, n_designs, seed=seed)
             designs = self._design_list(raws, n_designs)
-        else:
-            designs = [dict(design) for design in designs]
+        return self._solve(scenario, scenario.content_digest(), designs,
+                           grid_shape)
+
+    def _solve(self, scenario: ThermalScenario, digest: str,
+               designs: Sequence[Design],
+               grid_shape: Optional[tuple] = None) -> SolveResult:
+        """:meth:`solve` of given designs for a caller holding the digest."""
+        entry = self._session(scenario, digest)
+        model = entry.setup.model
+        designs = [dict(design) for design in designs]
         grid = self._grid(entry.setup, grid_shape)
 
         start = time.perf_counter()
@@ -712,7 +718,7 @@ class ThermalService:
 
         return SolveResult(
             scenario_name=scenario.name,
-            digest=scenario.content_digest(),
+            digest=digest,
             grid_shape=tuple(grid.shape),
             designs=designs,
             fields=np.stack([solution.to_array() for solution in solutions]),

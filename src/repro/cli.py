@@ -18,8 +18,9 @@ Subcommands
                      problem found
 ``run``              validate → solve → train → predict/rollout a scenario
                      JSON end-to-end (new workloads without new code)
-``serve``            long-running daemon: newline-JSON socket protocol
-                     with cross-request micro-batching (``repro.serve``)
+``serve``            long-running daemon: JSON-line / array-frame socket
+                     protocol with cross-request micro-batching
+                     (``repro.serve``)
 ``family``           train one conditioned surrogate across a
                      ``ScenarioFamily`` JSON (``repro.family``)
 ``finetune``         warm-start a covered scenario from its family
@@ -175,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = subparsers.add_parser(
         "serve",
         help="serving daemon: micro-batched predict/rollout/solve over a "
-             "newline-JSON socket",
+             "JSON-line or array-frame socket",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7070,

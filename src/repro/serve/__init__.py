@@ -3,8 +3,8 @@
 The engine's batched-arrival speedups only reach independent clients if
 something manufactures the batches.  This package is that something:
 
-* :mod:`~repro.serve.protocol` — newline-JSON wire protocol (exactly
-  float-round-tripping, so parity through a socket is bitwise);
+* :mod:`~repro.serve.protocol` — JSON lines and binary array frames,
+  each answered in kind; both round-trip float64 exactly;
 * :class:`MicroBatcher` — bounded async queue that coalesces requests
   sharing a fuse key (op + scenario content digest + query-point
   identity) into one fused engine call, with backpressure-by-rejection;

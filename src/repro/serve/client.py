@@ -13,10 +13,15 @@ sleep.  Every op is idempotent (pure reads of a deterministic model),
 which is what makes resend-after-reset safe.  A surfaced
 :class:`ServerError` carries ``attempts`` — how many tries were spent.
 
-Field arrays come back as nested JSON lists; the client reassembles
-them into float64 numpy arrays.  Python's JSON float round-trip is
-exact, so ``client.predict(...)`` is *bitwise* equal to the in-process
-``service.predict(...)`` it fused with.
+Requests go out as array frames (:mod:`repro.serve.protocol`), so the
+daemon answers in array frames too: every float64 array — design
+inputs, fields, peaks, traces — crosses the socket as raw little-endian
+bytes and comes back as a writable numpy array, with no JSON float text
+on either side.  The round trip is exact, so a result equals bitwise
+what the daemon computed.  An unfused answer is therefore bitwise equal
+to the in-process ``service.predict(...)``; a fused one comes from a
+taller merge dgemm whose BLAS blocking may differ in the last bits, and
+is checked against serial to 1e-8 K.
 """
 
 from __future__ import annotations
@@ -27,13 +32,8 @@ import socket
 import time
 from typing import Dict, Optional, Sequence
 
-import numpy as np
-
 from ..api import ThermalScenario
 from .protocol import ProtocolError, encode_frame, read_frame
-
-_ARRAY_FIELDS = ("fields", "peaks", "peak_traces", "times",
-                 "energy_imbalance")
 
 #: error codes worth retrying: the daemon said "not now", not "never".
 RETRYABLE_CODES = frozenset({"overloaded", "shutting_down"})
@@ -132,7 +132,7 @@ class ThermalClient:
     # ------------------------------------------------------------------
     def _roundtrip(self, message: Dict) -> Dict:
         self.connect()
-        self._sock.sendall(encode_frame(message))
+        self._sock.sendall(encode_frame(message, binary=True))
         response = read_frame(self._stream)
         if response is None:
             raise ConnectionError("daemon closed the connection")
@@ -196,13 +196,6 @@ class ThermalClient:
             return scenario
         raise TypeError("scenario must be a ThermalScenario or its to_dict()")
 
-    @staticmethod
-    def _restore_arrays(result: Dict) -> Dict:
-        for key in _ARRAY_FIELDS:
-            if key in result:
-                result[key] = np.asarray(result[key], dtype=np.float64)
-        return result
-
     def predict(self, scenario, designs: Sequence[Dict],
                 grid_shape: Optional[Sequence[int]] = None,
                 t: Optional[float] = None,
@@ -221,7 +214,7 @@ class ThermalClient:
             message["t"] = float(t)
         if timeout_ms is not None:
             message["timeout_ms"] = float(timeout_ms)
-        return self._restore_arrays(self._call(message))
+        return self._call(message)
 
     def rollout(self, scenario, designs: Sequence[Dict],
                 times: Sequence[float],
@@ -240,7 +233,7 @@ class ThermalClient:
             message["grid_shape"] = [int(n) for n in grid_shape]
         if timeout_ms is not None:
             message["timeout_ms"] = float(timeout_ms)
-        return self._restore_arrays(self._call(message))
+        return self._call(message)
 
     def solve(self, scenario, designs: Sequence[Dict],
               grid_shape: Optional[Sequence[int]] = None,
@@ -257,7 +250,7 @@ class ThermalClient:
             message["grid_shape"] = [int(n) for n in grid_shape]
         if timeout_ms is not None:
             message["timeout_ms"] = float(timeout_ms)
-        return self._restore_arrays(self._call(message))
+        return self._call(message)
 
     def ping(self) -> Dict:
         """Round-trip liveness check through the request queue."""

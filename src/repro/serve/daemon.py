@@ -1,7 +1,8 @@
 """``ThermalServer``: the long-running serving daemon.
 
 Owns one :class:`~repro.api.ThermalService` and exposes it over a TCP
-socket speaking the newline-JSON protocol (:mod:`repro.serve.protocol`).
+socket (:mod:`repro.serve.protocol`: JSON lines, or array frames carrying
+float64 arrays as raw bytes; each request is answered in its own kind).
 Concurrent predict / rollout / solve requests flow through a
 :class:`~repro.serve.batcher.MicroBatcher`: requests sharing a fuse key
 (scenario content digest + query-point identity) are coalesced into one
@@ -76,9 +77,10 @@ from .protocol import (
     ProtocolError,
     encode_frame,
     error_response,
+    json_default,
     ok_response,
     overloaded_response,
-    read_frame,
+    read_message,
 )
 
 logger = logging.getLogger("repro.serve")
@@ -478,28 +480,30 @@ class ThermalServer:
         try:
             while True:
                 try:
-                    message = read_frame(stream)
+                    received = read_message(stream)
                 except ProtocolError as exc:
                     conn.sendall(encode_frame(
                         error_response(None, "bad_request", str(exc))
                     ))
                     return
-                if message is None:
+                if received is None:
                     return
+                message, binary = received
                 try:
                     faults.hit("serve.connection", peer=peer,
                                op=message.get("op"))
                 except faults.ConnectionDropInjected:
                     return  # abrupt close: client sees a connection reset
                 response = self._handle_message(message)
+                # The answer takes the request's frame kind.
                 try:
-                    frame = encode_frame(response)
+                    frame = encode_frame(response, binary)
                 except (TypeError, ValueError) as exc:
                     # Fails this request alone; the connection stays open.
                     logger.warning("unencodable response: %s", exc)
                     frame = encode_frame(error_response(
                         message.get("id"), "error",
-                        f"response not encodable: {exc}"))
+                        f"response not encodable: {exc}"), binary)
                 conn.sendall(frame)
         except (BrokenPipeError, ConnectionResetError, OSError):
             pass  # peer went away; nothing to answer
@@ -585,7 +589,8 @@ class ThermalServer:
             raise RequestError("'scenario' must be a ThermalScenario object "
                                "(ThermalScenario.to_dict())")
         spec_key = hashlib.sha1(
-            json.dumps(raw, sort_keys=True, separators=(",", ":"))
+            json.dumps(raw, sort_keys=True, separators=(",", ":"),
+                       default=json_default)
             .encode("utf-8")
         ).hexdigest()
         with self._scenario_lock:
@@ -837,8 +842,8 @@ class ThermalServer:
         # One grouped farm call: every design in the fused batch shares
         # the operator digest, so K requests cost one back-substitution
         # block instead of K factorization-amortized singles.
-        solve = self.service.solve(scenario, designs=flat,
-                                   grid_shape=group[0].payload["grid_shape"])
+        solve = self.service._solve(scenario, digest, flat,
+                                    group[0].payload["grid_shape"])
         bounds = np.cumsum([0] + [len(g) for g in design_groups])
         spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
         summaries = [{

@@ -25,6 +25,7 @@ import pytest
 from repro import faults
 from repro.api import ThermalService, scenario_for
 from repro.serve import (
+    MAX_LINE_BYTES,
     MicroBatcher,
     ProtocolError,
     QueuedRequest,
@@ -37,7 +38,7 @@ from repro.serve import (
     ok_response,
     read_frame,
 )
-from repro.serve.protocol import json_default
+from repro.serve.protocol import json_default, read_message
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -79,6 +80,41 @@ def _oracle_jsonable(value):
 def _oracle_frame(message) -> bytes:
     return (json.dumps(_oracle_jsonable(message), separators=(",", ":"))
             + "\n").encode()
+
+
+def _array_frame(descriptors, payload: bytes, declared=None) -> bytes:
+    """A hand-built array frame: ``{"a0": d0, ...}`` over ``payload``."""
+    header = json.dumps({f"a{i}": {"__ndarray__": "<f8", **d}
+                         for i, d in enumerate(descriptors)})
+    size = len(payload) if declared is None else declared
+    return b"#%d %s\n" % (size, header.encode()) + payload
+
+
+#: array frames the decoder must refuse, by what is wrong with them.
+MALFORMED_ARRAY_FRAMES = {
+    "unknown_dtype": _array_frame(
+        [{"shape": [2], "offset": 0, "nbytes": 16}], bytes(16)
+    ).replace(b"<f8", b"<f4"),
+    "shape_vs_nbytes": _array_frame(
+        [{"shape": [3], "offset": 0, "nbytes": 16}], bytes(16)),
+    "overlap": _array_frame(
+        [{"shape": [2], "offset": 0, "nbytes": 16},
+         {"shape": [2], "offset": 8, "nbytes": 16}], bytes(24)),
+    "gap": _array_frame(
+        [{"shape": [1], "offset": 8, "nbytes": 8}], bytes(16)),
+    "out_of_range": _array_frame(
+        [{"shape": [2], "offset": 0, "nbytes": 16}], bytes(8)),
+    "negative_offset": _array_frame(
+        [{"shape": [1], "offset": -8, "nbytes": 8}], bytes(8)),
+    "unclaimed_bytes": _array_frame(
+        [{"shape": [1], "offset": 0, "nbytes": 8}], bytes(16)),
+    "oversized_payload": _array_frame(
+        [], b"", declared=MAX_LINE_BYTES + 1),
+    "cut_short": _array_frame(
+        [{"shape": [4], "offset": 0, "nbytes": 32}], bytes(32),
+        declared=64),
+    "bad_length": b"#12x {}\n",
+}
 
 
 class TestProtocol:
@@ -135,6 +171,50 @@ class TestProtocol:
             decode_frame(b"[1, 2, 3]")
         with pytest.raises(ProtocolError):
             decode_frame(b"{not json")
+
+    def test_array_frame_roundtrip_is_exact(self):
+        edge = np.array(EDGE_FLOATS)
+        big_endian = np.arange(6.0).reshape(2, 3).astype(">f8")
+        strided = np.arange(24.0).reshape(4, 6)[::2, 1::2]
+        message = {"id": 3, "edge": edge, "scalar0d": np.array(-0.0),
+                   "strided": strided, "big_endian": big_endian,
+                   "empty": np.zeros((0, 3)),
+                   "nested": [{"inner": edge[::-1]}, 2.5],
+                   "ints": np.arange(3), "f32": np.float32(0.5)}
+        frame = encode_frame(message, binary=True)
+        assert frame.startswith(b"#")
+        decoded, binary = read_message(io.BytesIO(frame))
+        assert binary
+        for key in ("edge", "scalar0d", "strided", "big_endian", "empty"):
+            restored = decoded[key]
+            assert restored.dtype == np.float64 and restored.flags.writeable
+            assert restored.shape == message[key].shape
+            assert np.array_equal(restored, message[key], equal_nan=True)
+            assert np.array_equal(np.signbit(restored),
+                                  np.signbit(message[key]))
+        restored = decoded["edge"]
+        assert restored[1] == 5e-324
+        assert restored[2] == np.finfo(np.float64).max
+        assert np.signbit(decoded["scalar0d"])
+        assert np.array_equal(decoded["nested"][0]["inner"], edge[::-1],
+                              equal_nan=True)
+        restored[0] = 1.0  # the caller owns a writable array
+        # non-float64 values are encoded exactly as in a JSON frame
+        assert decoded["ints"] == [0, 1, 2] and decoded["f32"] == 0.5
+        assert decoded["nested"][1] == 2.5 and decoded["id"] == 3
+
+    def test_array_frame_without_arrays(self):
+        message = {"id": "x", "op": "ping", "values": [1.5, -0.0]}
+        frame = encode_frame(message, binary=True)
+        assert frame == b"#0 " + encode_frame(message)
+        assert read_message(io.BytesIO(frame)) == (message, True)
+        assert read_message(io.BytesIO(encode_frame(message))) == (
+            message, False)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ARRAY_FRAMES))
+    def test_malformed_array_frames_raise(self, case):
+        with pytest.raises(ProtocolError):
+            read_frame(io.BytesIO(MALFORMED_ARRAY_FRAMES[case]))
 
     def test_fuse_key_binds_identity(self):
         base = fuse_key_for("predict", "d" * 16, None)
@@ -554,6 +634,91 @@ class TestDaemonEndToEnd:
                 response = json.loads(sock.makefile("rb").readline())
             assert response["ok"] is False
             assert response["error"]["code"] == "bad_request"
+
+    def test_malformed_array_frames_answer_bad_request_and_close(
+            self, registry_dir):
+        import socket as socket_mod
+
+        cases = {**MALFORMED_ARRAY_FRAMES,
+                 "unterminated_json": b'{"op":"ping"}'}
+        with ThermalServer(cache_dir=registry_dir) as server:
+            for case, frame in sorted(cases.items()):
+                with socket_mod.create_connection(
+                        ("127.0.0.1", server.port), timeout=30) as sock:
+                    sock.sendall(frame)
+                    sock.shutdown(socket_mod.SHUT_WR)  # a cut is a hang-up
+                    stream = sock.makefile("rb")
+                    line = stream.readline()
+                    assert stream.read() == b"", case  # connection closed
+                response = json.loads(line)
+                assert response["ok"] is False, case
+                assert response["error"]["code"] == "bad_request", case
+
+    def test_json_request_gets_json_answer(self, registry_dir):
+        """A newline-JSON peer (nc, scripts) is answered with a JSON line."""
+        import socket as socket_mod
+
+        scn = _tiny("a")
+        with ThermalService(cache_dir=registry_dir) as reference:
+            designs = _designs(reference, scn, 2, seed=15)
+            expected = reference.predict(scn, designs).fields
+        with ThermalServer(cache_dir=registry_dir) as server:
+            with socket_mod.create_connection(
+                    ("127.0.0.1", server.port), timeout=60) as sock:
+                sock.sendall(encode_frame({"id": 7, "op": "predict",
+                                           "scenario": scn.to_dict(),
+                                           "designs": designs}))
+                line = sock.makefile("rb").readline()
+            with ThermalClient(port=server.port) as client:
+                binary = client.predict(scn, designs)
+        assert line.startswith(b"{") and line.endswith(b"\n")
+        answer = json.loads(line)
+        assert answer["ok"] is True and answer["id"] == 7
+        assert np.array_equal(np.asarray(answer["result"]["fields"]), expected)
+        assert np.array_equal(binary["fields"], expected)
+
+    def test_fused_answers_within_tolerance_of_serial(self, registry_dir):
+        """8 requests x 4 designs fuse; each is <= 1e-8 K off serial.
+
+        A taller merge dgemm may be blocked differently by BLAS, so a
+        fused answer can differ from serial in the last bits; an
+        unfused answer is the same dgemm and stays bitwise.
+        """
+        scn = _tiny("a")
+        n_requests, per_request = 8, 4
+        with ThermalService(cache_dir=registry_dir) as reference:
+            designs = _designs(reference, scn, n_requests * per_request,
+                               seed=16)
+            chunks = [designs[i * per_request:(i + 1) * per_request]
+                      for i in range(n_requests)]
+            expected = [reference.predict(scn, chunk).fields
+                        for chunk in chunks]
+        with ThermalServer(cache_dir=registry_dir) as server:
+            server.warm_start([scn])
+            results = [None] * n_requests
+
+            def worker(index):
+                with ThermalClient(port=server.port) as client:
+                    results[index] = client.predict(scn, chunks[index])
+
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(n_requests)]
+            release = _hold_dispatcher(server.batcher)
+            for thread in threads:
+                thread.start()
+            _wait_depth(server.batcher, n_requests)
+            release()
+            for thread in threads:
+                thread.join(timeout=120)
+            with ThermalClient(port=server.port) as client:
+                alone = client.predict(scn, chunks[0])
+        for result, fields in zip(results, expected):
+            assert result["batch"]["requests"] == n_requests
+            assert np.max(np.abs(result["fields"] - fields)) <= 1e-8
+            assert np.array_equal(result["peaks"],
+                                  result["fields"].max(axis=1))
+        assert alone["batch"]["fused"] is False
+        assert np.array_equal(alone["fields"], expected[0])
 
     def test_shutdown_op_drains_and_closes(self, registry_dir):
         scn = _tiny("a")
@@ -1006,31 +1171,32 @@ class TestFamilyServing:
             fam16 = family.content_digest()[:16]
             assert stats["boot_sources"][fam16] == "exact"
 
-    def test_spec_digest_taken_once_per_new_spec(self, registry_dir,
-                                                 family_registry,
-                                                 monkeypatch):
-        """Repeat served predicts reuse the digest their spec resolved to."""
+    @staticmethod
+    def _count_digests(monkeypatch):
+        """Count ``content_digest`` calls by kind from now on."""
         from repro.api import ThermalScenario
         from repro.family import ScenarioFamily
 
         calls = {"scenario": 0, "family": 0}
-
-        def counting(cls, kind):
-            digest = cls.content_digest
-
-            def wrapped(self):
+        for cls, kind in ((ThermalScenario, "scenario"),
+                          (ScenarioFamily, "family")):
+            def wrapped(self, digest=cls.content_digest, kind=kind):
                 calls[kind] += 1
                 return digest(self)
 
             monkeypatch.setattr(cls, "content_digest", wrapped)
+        return calls
 
+    def test_spec_digest_taken_once_per_new_spec(self, registry_dir,
+                                                 family_registry,
+                                                 monkeypatch):
+        """Repeat served predicts reuse the digest their spec resolved to."""
         scn = _tiny("a")
         member = _serve_family().holdout(0)
         cases = [(registry_dir, scn), (family_registry, member)]
         with ThermalService() as reference:
             designs = [_designs(reference, spec, 1) for _, spec in cases]
-        counting(ThermalScenario, "scenario")
-        counting(ScenarioFamily, "family")
+        calls = self._count_digests(monkeypatch)
         for (registry, spec), spec_designs in zip(cases, designs):
             with ThermalServer(cache_dir=registry) as server, \
                     ThermalClient(port=server.port) as client:
@@ -1040,3 +1206,20 @@ class TestFamilyServing:
                 for _ in range(10):
                     client.predict(spec, spec_designs)
                 assert calls == {"scenario": 0, "family": 0}, spec.name
+
+    def test_spec_digest_taken_once_per_served_solve(self, registry_dir,
+                                                     monkeypatch):
+        """Repeat served solves reuse the digest their spec resolved to."""
+        scn = _tiny("a")
+        with ThermalService() as reference:
+            designs = _designs(reference, scn, 1)
+        calls = self._count_digests(monkeypatch)
+        with ThermalServer(cache_dir=registry_dir) as server, \
+                ThermalClient(port=server.port) as client:
+            first = client.solve(scn, designs)  # resolves the spec
+            assert first["digest"] == scn.content_digest()
+            calls.update(scenario=0, family=0)
+            for _ in range(10):
+                assert np.array_equal(client.solve(scn, designs)["fields"],
+                                      first["fields"])
+        assert calls == {"scenario": 0, "family": 0}
