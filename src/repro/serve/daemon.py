@@ -598,7 +598,10 @@ class ThermalServer:
             if digest is not None:
                 return digest, self._scenarios[digest]
         try:
-            scenario = ThermalScenario.from_dict(raw)
+            # An array frame may carry ndarrays inside the spec: parse
+            # the lists a JSON line would have carried instead.
+            scenario = ThermalScenario.from_dict(
+                json.loads(json.dumps(raw, default=json_default)))
         except ScenarioValidationError as exc:
             raise RequestError(
                 "invalid scenario: " + "; ".join(exc.errors)

@@ -84,11 +84,11 @@ INLINE_OPS = ("ping", "stats", "health", "shutdown")
 MAX_LINE_BYTES = 64 * 1024 * 1024
 
 #: first byte of an array frame (a JSON frame is an object: ``{``).
-ARRAY_FRAME_TAG = b"#"
+_ARRAY_TAG = b"#"
 #: the key of an array descriptor; its value is the dtype.
-ARRAY_KEY = "__ndarray__"
-ARRAY_DTYPE = "<f8"
-_DESCRIPTOR_KEYS = frozenset({ARRAY_KEY, "shape", "offset", "nbytes"})
+_ARRAY_KEY = "__ndarray__"
+_ARRAY_DTYPE = "<f8"
+_DESCRIPTOR_KEYS = frozenset({_ARRAY_KEY, "shape", "offset", "nbytes"})
 
 
 class ProtocolError(ValueError):
@@ -127,8 +127,8 @@ def encode_frame(message: Dict, binary: bool = False) -> bytes:
         nonlocal size
         if (isinstance(value, np.ndarray) and value.dtype.kind == "f"
                 and value.dtype.itemsize == 8):
-            raw = value.astype(ARRAY_DTYPE, copy=False).tobytes()
-            descriptor = {ARRAY_KEY: ARRAY_DTYPE, "shape": list(value.shape),
+            raw = value.astype(_ARRAY_DTYPE, copy=False).tobytes()
+            descriptor = {_ARRAY_KEY: _ARRAY_DTYPE, "shape": list(value.shape),
                           "offset": size, "nbytes": len(raw)}
             chunks.append(raw)
             size += len(raw)
@@ -137,7 +137,7 @@ def encode_frame(message: Dict, binary: bool = False) -> bytes:
 
     header = json.JSONEncoder(separators=(",", ":"),
                               default=default).encode(message)
-    return b"".join([b"%s%d %s\n" % (ARRAY_FRAME_TAG, size,
+    return b"".join([b"%s%d %s\n" % (_ARRAY_TAG, size,
                                       header.encode("utf-8")), *chunks])
 
 
@@ -172,15 +172,15 @@ def _decode_array_frame(header: bytes, payload: bytearray) -> Dict:
 
     def restore(obj: Dict) -> Any:
         nonlocal end
-        if ARRAY_KEY not in obj:
+        if _ARRAY_KEY not in obj:
             return obj
         if obj.keys() != _DESCRIPTOR_KEYS:
             raise ProtocolError(f"array descriptor keys {sorted(obj)}; "
                                 f"expected {sorted(_DESCRIPTOR_KEYS)}")
         shape, offset, nbytes = obj["shape"], obj["offset"], obj["nbytes"]
-        if obj[ARRAY_KEY] != ARRAY_DTYPE:
-            raise ProtocolError(f"unknown array dtype {obj[ARRAY_KEY]!r}; "
-                                f"expected {ARRAY_DTYPE!r}")
+        if obj[_ARRAY_KEY] != _ARRAY_DTYPE:
+            raise ProtocolError(f"unknown array dtype {obj[_ARRAY_KEY]!r}; "
+                                f"expected {_ARRAY_DTYPE!r}")
         if not (isinstance(shape, list) and all(map(_is_count, shape))
                 and _is_count(offset) and _is_count(nbytes)):
             raise ProtocolError("array shape, offset and nbytes must be "
@@ -195,7 +195,7 @@ def _decode_array_frame(header: bytes, payload: bytearray) -> Dict:
             raise ProtocolError(f"array at offset {offset} does not start "
                                 f"where the previous one ends ({end})")
         end = offset + nbytes
-        return np.frombuffer(payload, dtype=ARRAY_DTYPE, count=nbytes // 8,
+        return np.frombuffer(payload, dtype=_ARRAY_DTYPE, count=nbytes // 8,
                              offset=offset).reshape(shape)
 
     message = _loads(header, restore)
@@ -217,9 +217,9 @@ def read_message(stream) -> Optional[Tuple[Dict, bool]]:
     if not line.endswith(b"\n"):
         raise ProtocolError("unterminated frame (peer hung up mid-line "
                             "or exceeded the size limit)")
-    if not line.startswith(ARRAY_FRAME_TAG):
+    if not line.startswith(_ARRAY_TAG):
         return decode_frame(line), False
-    size_text, _, header = line[len(ARRAY_FRAME_TAG):].partition(b" ")
+    size_text, _, header = line[len(_ARRAY_TAG):].partition(b" ")
     if not size_text.isdigit():
         raise ProtocolError("an array frame starts with "
                             "'#<payload bytes> <JSON message>'")

@@ -606,6 +606,7 @@ class TestDaemonEndToEnd:
                 with pytest.raises(ServerError) as info:
                     client.predict(scn, [{"power_map": "NaN soup"}])
                 assert info.value.code == "bad_request"
+
                 # steady scenario refuses an instant
                 with pytest.raises(ServerError) as info:
                     client.predict(scn, _designs_inline(scn), t=0.5)
@@ -676,6 +677,20 @@ class TestDaemonEndToEnd:
         assert answer["ok"] is True and answer["id"] == 7
         assert np.array_equal(np.asarray(answer["result"]["fields"]), expected)
         assert np.array_equal(binary["fields"], expected)
+
+    def test_spec_carrying_arrays_reads_as_lists(self, registry_dir):
+        """An array frame may carry ndarrays inside the spec dict itself."""
+        scn = _tiny("a")
+        raw = scn.to_dict()
+        raw["geometry"]["size_mm"] = np.asarray(raw["geometry"]["size_mm"])
+        with ThermalService(cache_dir=registry_dir) as reference:
+            designs = _designs(reference, scn, 1, seed=17)
+            expected = reference.predict(scn, designs).fields
+        with ThermalServer(cache_dir=registry_dir) as server, \
+                ThermalClient(port=server.port) as client:
+            result = client.predict(raw, designs)
+        assert result["digest"] == scn.content_digest()
+        assert np.array_equal(result["fields"], expected)
 
     def test_fused_answers_within_tolerance_of_serial(self, registry_dir):
         """8 requests x 4 designs fuse; each is <= 1e-8 K off serial.
