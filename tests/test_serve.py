@@ -606,7 +606,6 @@ class TestDaemonEndToEnd:
                 with pytest.raises(ServerError) as info:
                     client.predict(scn, [{"power_map": "NaN soup"}])
                 assert info.value.code == "bad_request"
-
                 # steady scenario refuses an instant
                 with pytest.raises(ServerError) as info:
                     client.predict(scn, _designs_inline(scn), t=0.5)
